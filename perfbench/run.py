@@ -28,6 +28,8 @@ import sys
 import time
 from pathlib import Path
 
+from spans import NullTracer, Tracer, span_cost_ns
+
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / ".perfbench_out"
 SETUP_REPEATS = 5
@@ -205,10 +207,8 @@ def end_to_end(setup_s: float, passes: Passes) -> dict:
 
 
 def per_layer(workload, tracer, layer) -> dict:
-    from spans import span_cost_ns
-
     workload.calibrate(tracer)
-    values = dict.fromkeys(LAYER_UNITS, 0.0)
+    values = dict.fromkeys(LAYER_UNITS, 0)
     values.update(layer["counts"] or {})
     for metric, (span, scale) in SPAN_TIMES.items():
         values[metric] = tracer.median_ns(span) / scale
@@ -252,7 +252,6 @@ def main(argv=None) -> int:
         return 2
     sys.path.insert(0, str(src))
     import workloads  # imports modsat: part of set-up time
-    from spans import NullTracer, Tracer
 
     import_s = time.perf_counter() - started
     if args.workload not in workloads.WORKLOADS:

@@ -31,11 +31,11 @@ def seed_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",")]
 
 
-def run_once(workload: str, seed: int, seconds: int, trace: int) -> tuple[dict, float]:
+def run_once(workload: str, seed: int, seconds: int) -> tuple[dict, float]:
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, str(HERE / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=HERE.parent, capture_output=True, text=True, timeout=600, check=False,
     )
     wall = time.perf_counter() - start
@@ -54,13 +54,12 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--seeds", default="1-10")
     parser.add_argument("--seconds", type=int, default=20)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     summary = {}
     for workload in args.workloads.split(","):
         runs = []
         for seed in seed_list(args.seeds):
-            result, wall = run_once(workload, seed, args.seconds, args.trace)
+            result, wall = run_once(workload, seed, args.seconds)
             runs.append({"seed": seed, "wall_s": wall, **result})
             print(f"{workload} seed {seed}: {wall:.1f} s, correct {result['correct']}, "
                   f"failed {result['failed']}/{result['attempted']}", file=sys.stderr)
