@@ -8,8 +8,10 @@ One process runs one workload, single-threaded.  Set-up (imports, then
 generating, writing and reading back the inputs) is repeated between passes
 and its median reported.  The timed part is a whole number of passes over
 the workload's fixed list of operations: passes start until ``--seconds``
-have gone into them, and none is cut short.  The first pass checks every
-output; later passes must reproduce it.  The last line
+have gone into them, and none is cut short.  Every operation is followed
+by the fixed routine in ``reference``, and times are reported in its
+units (see there).  The first pass checks every output; later passes must
+reproduce it.  The last line
 of standard output is one JSON object: ``correct``, ``attempted``,
 ``failed`` and ``metrics``, the end-to-end metrics with ``--trace 0`` and
 the per-layer metrics, from spans around each layer call, with ``--trace 1``.
@@ -28,6 +30,7 @@ import sys
 import time
 from pathlib import Path
 
+import reference
 from spans import NullTracer, Tracer, span_cost_ns
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -83,13 +86,27 @@ class Passes:
     def __init__(self, num_ops: int):
         self.num_ops = num_ops
         self.count = 0
-        self.best_ns: list = [None] * num_ops  # fastest time of each op
-        self.best_end_ns: int | None = None  # fastest end-of-pass work
+        # (raw ns, reference ns) of each op in every pass, and of the
+        # end-of-pass work; untraced runs only
+        self.times: list = [[] for _ in range(num_ops)]
+        self.end_times: list = []
         self.failed = 0
         self.bad: set[int] = set()  # ops whose first output failed a check
         self.run_failed = False  # a check on a whole pass failed
         self.wrong = False  # some output failed a check
         self.problems: list[str] = []
+
+    def reference_ns(self) -> float:
+        """The reference routine's median time over the whole run."""
+        return statistics.median(ref for s in self.times for _, ref in s)
+
+    def scaled_ns(self) -> tuple[list, float]:
+        """Each op's median time over the passes, in reference ns, and the
+        same for the end-of-pass work."""
+        def scaled(samples):
+            return statistics.median(raw * reference.REFERENCE_NS / ref for raw, ref in samples)
+
+        return [scaled(s) for s in self.times if s], scaled(self.end_times)
 
     def wrong_output(self, problem: str) -> None:
         self.wrong = True
@@ -137,8 +154,8 @@ def run_passes(workload, seconds: float, tracer, traced: bool, between=None):
                 out = None
             else:
                 elapsed = time.perf_counter_ns() - t0
-                best = passes.best_ns[i]
-                passes.best_ns[i] = elapsed if best is None else min(best, elapsed)
+                if not traced:
+                    passes.times[i].append((elapsed, reference.time_ns()))
             if workload.keeps_outputs:
                 outputs.append(out)
             if out is None:
@@ -166,8 +183,8 @@ def run_passes(workload, seconds: float, tracer, traced: bool, between=None):
         t0 = time.perf_counter_ns()
         result = workload.end_pass(outputs, tracer)
         end_ns = time.perf_counter_ns() - t0
-        if passes.best_end_ns is None or end_ns < passes.best_end_ns:
-            passes.best_end_ns = end_ns
+        if not traced:
+            passes.end_times.append((end_ns, reference.time_ns()))
         if first:
             first_result = result
             for problem in workload.check_run(result):
@@ -192,10 +209,14 @@ def run_passes(workload, seconds: float, tracer, traced: bool, between=None):
 
 
 def end_to_end(setup_s: float, passes: Passes) -> dict:
-    """Each operation's time is its fastest over the passes: other tenants
-    of a shared host can only add time, never remove it."""
-    ms = [t / 1e6 for t in passes.best_ns if t is not None]
-    pass_s = sum(ms) / 1e3 + passes.best_end_ns / 1e9
+    """Each operation's time is the median over the passes of its raw time
+    scaled by the reference routine's time right after it; ``setup_s`` is
+    scaled by the reference's median over the run."""
+    op_ns, end_ns = passes.scaled_ns()
+    # set-up runs between passes, too long to scale by one reference run
+    setup_s *= reference.REFERENCE_NS / passes.reference_ns()
+    ms = [t / 1e6 for t in op_ns]
+    pass_s = (sum(op_ns) + end_ns) / 1e9
     rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {
         "setup_s": (setup_s, "s"),
@@ -289,6 +310,10 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     attempted, failed = passes.attempted_failed()
+    if not args.trace:
+        raw_ms = statistics.median(raw for t in passes.times for raw, _ in t) / 1e6
+        print(f"reference routine: median {passes.reference_ns() / 1e6:.3f} ms; "
+              f"raw operation time: median {raw_ms:.3f} ms", file=sys.stderr)
     for problem in passes.problems[:20]:
         print(f"problem: {problem}", file=sys.stderr)
     print(json.dumps({

@@ -163,3 +163,16 @@ def test_metric_names_and_units_match_benchmark_json(tmp_path):
         name: unit for name, (_, unit) in metrics.items()
     }
     assert [w["name"] for w in spec["workloads"]] == list(workloads.WORKLOADS)
+
+
+def test_times_are_scaled_by_the_reference_routine():
+    passes = run.Passes(2)
+    ref = run.reference.REFERENCE_NS
+    passes.times = [[(2_000_000, ref // 2)] * 3, [(1_000_000, ref), (3_000_000, ref)]]
+    passes.end_times = [(500_000, ref)]
+    assert passes.scaled_ns() == ([4_000_000, 2_000_000], 500_000)
+    assert passes.reference_ns() == ref // 2  # the routine ran twice as fast
+    metrics = run.end_to_end(0.5, passes)
+    assert metrics["setup_s"][0] == 1.0
+    assert metrics["op_ms_p50"][0] == 3.0
+    assert metrics["ops_per_s"][0] == 2 / 6.5e-3

@@ -222,7 +222,7 @@ class LpPivot(Workload):
 
     name = "lp-pivot"
     num_vars = 5
-    num_instances = 100
+    num_instances = 200
 
     def system(self, i):
         f = self.formulas[i]
@@ -264,8 +264,8 @@ class DpllHard(Workload):
     """
 
     name = "dpll-hard"
-    num_vars = 26
-    num_instances = 200
+    num_vars = 24
+    num_instances = 400
     unsat_share = 0.6
 
     def __init__(self, seed, workdir):
