@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: tables, gen, eval, lp, solve, oracle, diff, bench.  Exit code
-is 0 when the requested batch completes, nonzero only for configuration
-problems (bad flags, unreadable or malformed input).
+is 0 when the command completes.  Any failure, from malformed input to an
+exception no layer anticipated, prints one ``error: ...`` line on stderr
+and exits 1; bad flags exit 2 with argparse's usage message.
 """
 
 from __future__ import annotations
@@ -10,12 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import harness, oracle, pipeline, relax, simplex
-from .cnf import parse_dimacs
-from .errors import BudgetExceededError, DimacsError, UnsupportedFormulaError
+from .cnf import evaluate, parse_dimacs
+from .errors import BudgetExceededError
+from .foldeval import fold_eval
 from .mvlogic import (
     DEFAULT_TABLE_BUDGET,
     enumerate_binary,
@@ -28,8 +29,6 @@ from .mvlogic import (
 def _num(x):
     if x is None or isinstance(x, (int, float)):
         return x
-    if isinstance(x, Fraction):
-        return str(x)
     return str(x)
 
 
@@ -43,12 +42,16 @@ def _solution_dict(sol: simplex.LpSolution) -> dict:
     }
 
 
-def _print_json(data, out: str | None) -> None:
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when it is unset."""
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _print_json(data, out: str | None) -> None:
+    _emit(json.dumps(data, indent=2, sort_keys=True) + "\n", out)
 
 
 def _load_formula(path: str):
@@ -107,11 +110,7 @@ def cmd_tables(args) -> int:
     if args.family in ("binary", "both"):
         for t in enumerate_binary(args.arity, args.budget):
             blocks.append(format_binary_block(t))
-    text = "\n".join(blocks)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(blocks), args.out)
     return 0
 
 
@@ -135,9 +134,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .cnf import evaluate
-    from .foldeval import fold_eval
-
     formula = _load_formula(args.file)
     assignment = _parse_assignment(args.assignment, formula.num_vars)
     result = fold_eval(formula, assignment)
@@ -185,18 +181,10 @@ def _system_text(system: simplex.LpSystem, sol: simplex.LpSolution) -> str:
 
 def cmd_lp(args) -> int:
     formula = _load_formula(args.file)
-    system = relax.build_relaxation(formula, args.negation, args.bound)
-    if args.objective == "max-sum" and formula.num_vars > 0:
-        from dataclasses import replace
-
-        system = replace(system, objective=(1,) * formula.num_vars)
+    system = pipeline.build_system(formula, _config_from_args(args))
     sol = simplex.solve(system, exact=not args.float)
     if args.format == "text":
-        text = _system_text(system, sol)
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
+        _emit(_system_text(system, sol), args.out)
         return 0
     data = {
         "system": {
@@ -386,13 +374,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        DimacsError,
-        UnsupportedFormulaError,
-        BudgetExceededError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except Exception as exc:  # every failure is one line, never a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DimacsError
+from .errors import DimacsError, UnsupportedFormulaError
 
 ZERO_TRUE = "zero-true"
 ONE_TRUE = "one-true"
@@ -88,6 +88,25 @@ class Formula:
     @property
     def negated_occurrences(self) -> int:
         return sum(lit.negated for c in self.clauses for lit in c.literals)
+
+
+def require_uniform(formula: Formula, min_width: int) -> int:
+    """Common clause width of ``formula``, which must be at least ``min_width``.
+
+    The one width rule of the package.  Raises UnsupportedFormulaError for a
+    formula with no clauses, mixed widths or a width below ``min_width``;
+    callers that accept a formula with no clauses skip the call for it.
+    """
+    if not formula.clauses:
+        raise UnsupportedFormulaError("at least one clause is required")
+    width = formula.uniform_width
+    if width is None:
+        raise UnsupportedFormulaError("mixed clause widths are not supported")
+    if width < min_width:
+        raise UnsupportedFormulaError(
+            f"clause width must be >= {min_width}, got {width}"
+        )
+    return width
 
 
 def clause_of(*codes: int) -> Clause:

@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cnf import Clause, Formula
-from .errors import UnsupportedFormulaError
+from .cnf import Clause, Formula, require_uniform
 from .mvlogic import clause_join_table
 
 
@@ -33,17 +32,6 @@ class OpCount:
 class FoldResult:
     value: int  # 0 or 1; 0 means true in the zero-is-true encoding
     ops: OpCount
-
-
-def _require_uniform(formula: Formula) -> int:
-    if not formula.clauses:
-        raise UnsupportedFormulaError("at least one clause is required")
-    width = formula.uniform_width
-    if width is None:
-        raise UnsupportedFormulaError("mixed clause widths are not supported")
-    if width < 2:
-        raise UnsupportedFormulaError(f"clause width must be >= 2, got {width}")
-    return width
 
 
 def clause_sum(clause: Clause, assignment: Sequence[bool]) -> int:
@@ -72,7 +60,7 @@ def fold_eval(formula: Formula, assignment: Sequence[bool]) -> FoldResult:
     With a single clause no join is needed and the sum is normalized to 0/1
     directly.  Returns the final value plus exact operation counts.
     """
-    width = _require_uniform(formula)
+    width = require_uniform(formula, 2)
     if len(assignment) != formula.num_vars:
         raise ValueError(
             f"assignment length {len(assignment)} != {formula.num_vars} variables"
@@ -113,7 +101,7 @@ def closed_form(formula: Formula, assignment: Sequence[bool]) -> int:
 
     Computed without the join table; must agree with fold_eval everywhere.
     """
-    _require_uniform(formula)
+    require_uniform(formula, 2)
     if len(assignment) != formula.num_vars:
         raise ValueError(
             f"assignment length {len(assignment)} != {formula.num_vars} variables"
@@ -130,7 +118,7 @@ def predicted_ops(formula: Formula) -> OpCount:
     (k-1)*m sum additions plus 2*(m-1) lookup additions, m-1 table calls,
     p negations.
     """
-    width = _require_uniform(formula)
+    width = require_uniform(formula, 2)
     m = formula.num_clauses
     return OpCount(
         additions=(width - 1) * m + 2 * (m - 1),

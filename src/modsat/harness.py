@@ -9,8 +9,8 @@ function of (claim, candidate verified, oracle verdict):
 * unsat claim, oracle sat                     -> missed_sat
 * unsat claim, oracle budget blown            -> oracle_budget_exceeded
 
-Reports serialize to canonical JSON (sorted keys, wall-clock times left
-out), so identical corpus, config, and seeds give byte-identical bytes.
+Reports serialize to canonical JSON (sorted keys, no wall-clock times), so
+identical corpus, config, and seeds give byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -21,13 +21,20 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import oracle, pipeline
-from .cnf import Formula, clause_of, parse_dimacs, random_kcnf, write_dimacs
-from .errors import BudgetExceededError
+from .cnf import (
+    Formula,
+    clause_of,
+    parse_dimacs,
+    random_kcnf,
+    require_uniform,
+    write_dimacs,
+)
+from .errors import BudgetExceededError, UnsupportedFormulaError
 from .foldeval import fold_eval, predicted_ops
 
 CATEGORIES = (
@@ -52,64 +59,30 @@ def classify(claim: str, verified: bool | None, oracle_status: str) -> str:
     raise ValueError(f"unknown claim {claim!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DiffRecord:
+    """One instance's outcome.  The field order is the CSV column order."""
+
     instance_id: str
-    claim: str
-    candidate_verified: bool | None
-    oracle_status: str
-    oracle_nodes: int | None
     category: str
+    claim: str
+    candidate_verified: bool | None = None
+    oracle_status: str
+    oracle_nodes: int | None = None
     num_vars: int
     num_clauses: int
     width: int | None
-    lp_pivots: int
-    pipeline_steps: int
-    fold_additions: int | None
-    anomaly_count: int
-    pipeline_wall_ns: int
-    oracle_wall_ns: int
+    lp_pivots: int = 0
+    pipeline_steps: int = 0
+    fold_additions: int | None = None
+    anomaly_count: int = 0
     error: str | None = None
 
-    def to_dict(self, include_timings: bool = False) -> dict:
-        d = {
-            "instance_id": self.instance_id,
-            "claim": self.claim,
-            "candidate_verified": self.candidate_verified,
-            "oracle_status": self.oracle_status,
-            "oracle_nodes": self.oracle_nodes,
-            "category": self.category,
-            "num_vars": self.num_vars,
-            "num_clauses": self.num_clauses,
-            "width": self.width,
-            "lp_pivots": self.lp_pivots,
-            "pipeline_steps": self.pipeline_steps,
-            "fold_additions": self.fold_additions,
-            "anomaly_count": self.anomaly_count,
-            "error": self.error,
-        }
-        if include_timings:
-            d["pipeline_wall_ns"] = self.pipeline_wall_ns
-            d["oracle_wall_ns"] = self.oracle_wall_ns
-        return d
+    def to_dict(self) -> dict:
+        return {name: getattr(self, name) for name in _RECORD_FIELDS}
 
 
-_CSV_COLUMNS = (
-    "instance_id",
-    "category",
-    "claim",
-    "candidate_verified",
-    "oracle_status",
-    "oracle_nodes",
-    "num_vars",
-    "num_clauses",
-    "width",
-    "lp_pivots",
-    "pipeline_steps",
-    "fold_additions",
-    "anomaly_count",
-    "error",
-)
+_RECORD_FIELDS = tuple(f.name for f in fields(DiffRecord))
 
 
 @dataclass(frozen=True)
@@ -160,25 +133,24 @@ class DiffReport:
             "pipeline_steps_vs_vars": steps,
         }
 
-    def to_dict(self, include_timings: bool = False) -> dict:
+    def to_dict(self) -> dict:
         return {
             "config": self.config,
-            "records": [r.to_dict(include_timings) for r in self.records],
+            "records": [r.to_dict() for r in self.records],
             "aggregates": self.aggregates(),
             "fits": self.fits(),
         }
 
     def to_canonical_json(self) -> str:
-        return json.dumps(self.to_dict(False), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
+        writer.writerow(_RECORD_FIELDS)
         for r in self.records:
-            d = r.to_dict(False)
             writer.writerow(
-                ["" if d[col] is None else d[col] for col in _CSV_COLUMNS]
+                ["" if v is None else v for v in r.to_dict().values()]
             )
         return buf.getvalue()
 
@@ -194,21 +166,16 @@ def diff_run(
     are captured in the record's error field; the batch never aborts.
     """
     for instance_id, formula in instances:
-        width = formula.uniform_width
-        if width is None or width < 2:
-            raise ValueError(
-                f"instance {instance_id!r} must have uniform clause width >= 2"
-            )
+        try:
+            require_uniform(formula, 2)
+        except UnsupportedFormulaError as exc:
+            raise UnsupportedFormulaError(
+                f"instance {instance_id!r}: {exc}"
+            ) from None
     records = []
     for instance_id, formula in instances:
         records.append(_run_one(instance_id, formula, config, oracle_budget))
-    config_echo = {
-        "negation_mode": config.negation_mode,
-        "bound_mode": config.bound_mode,
-        "rounding_base": config.rounding_base,
-        "objective": config.objective,
-        "oracle_budget": oracle_budget,
-    }
+    config_echo = {**asdict(config), "oracle_budget": oracle_budget}
     return DiffReport(config_echo, tuple(records))
 
 
@@ -218,14 +185,17 @@ def _run_one(
     config: pipeline.PipelineConfig,
     oracle_budget: int,
 ) -> DiffRecord:
+    shared = dict(
+        instance_id=instance_id,
+        num_vars=formula.num_vars,
+        num_clauses=formula.num_clauses,
+        width=formula.uniform_width,
+    )
     try:
-        t0 = time.perf_counter_ns()
         result = pipeline.run(formula, config)
-        pipeline_ns = time.perf_counter_ns() - t0
         verified = None
         if result.rounded is not None:
             verified = oracle.verify(formula, result.rounded)
-        t0 = time.perf_counter_ns()
         try:
             verdict = oracle.dpll_sat(formula, node_budget=oracle_budget)
             oracle_status = verdict.status
@@ -233,43 +203,26 @@ def _run_one(
         except BudgetExceededError:
             oracle_status = BUDGET_EXCEEDED
             oracle_nodes = None
-        oracle_ns = time.perf_counter_ns() - t0
         probe = result.rounded or (False,) * formula.num_vars
         fold = fold_eval(formula, probe)
         return DiffRecord(
-            instance_id=instance_id,
+            **shared,
+            category=classify(result.claimed_status, verified, oracle_status),
             claim=result.claimed_status,
             candidate_verified=verified,
             oracle_status=oracle_status,
             oracle_nodes=oracle_nodes,
-            category=classify(result.claimed_status, verified, oracle_status),
-            num_vars=formula.num_vars,
-            num_clauses=formula.num_clauses,
-            width=formula.uniform_width,
             lp_pivots=result.lp.pivot_steps,
             pipeline_steps=result.steps,
             fold_additions=fold.ops.additions,
             anomaly_count=len(result.anomalies),
-            pipeline_wall_ns=pipeline_ns,
-            oracle_wall_ns=oracle_ns,
         )
     except Exception as exc:  # captured per record, batch goes on
         return DiffRecord(
-            instance_id=instance_id,
-            claim="error",
-            candidate_verified=None,
-            oracle_status="error",
-            oracle_nodes=None,
+            **shared,
             category=ERROR_CATEGORY,
-            num_vars=formula.num_vars,
-            num_clauses=formula.num_clauses,
-            width=formula.uniform_width,
-            lp_pivots=0,
-            pipeline_steps=0,
-            fold_additions=None,
-            anomaly_count=0,
-            pipeline_wall_ns=0,
-            oracle_wall_ns=0,
+            claim="error",
+            oracle_status="error",
             error=f"{type(exc).__name__}: {exc}",
         )
 

@@ -121,6 +121,20 @@ class BinaryTable:
         )
 
 
+def _count_exceeds(base: int, exponent: int, budget: int) -> bool:
+    """Whether base**exponent > budget, without building the power.
+
+    The running product stops growing once it passes the budget, so the
+    check costs a few multiplications at any arity.
+    """
+    total = 1
+    for _ in range(exponent):
+        total *= base
+        if total > budget:
+            return True
+    return False
+
+
 def enumerate_unary(
     n: int, budget: int = DEFAULT_TABLE_BUDGET
 ) -> Iterator[UnaryTable]:
@@ -130,10 +144,9 @@ def enumerate_unary(
     BudgetExceededError when n**n exceeds the budget.
     """
     _check_arity(n)
-    total = n**n
-    if total > budget:
+    if _count_exceeds(n, n, budget):
         raise BudgetExceededError(
-            f"{total} unary tables at arity {n} exceed budget {budget}"
+            f"unary tables at arity {n} exceed budget {budget}"
         )
     for idx in itertools.product(range(n), repeat=n):
         yield UnaryTable(n, idx)
@@ -148,10 +161,9 @@ def enumerate_binary(
     that is already 4**16 tables.
     """
     _check_arity(n)
-    total = n ** (n * n)
-    if total > budget:
+    if _count_exceeds(n, n * n, budget):
         raise BudgetExceededError(
-            f"{total} binary tables at arity {n} exceed budget {budget}"
+            f"binary tables at arity {n} exceed budget {budget}"
         )
     for flat in itertools.product(range(n), repeat=n * n):
         rows = tuple(flat[r * n : (r + 1) * n] for r in range(n))

@@ -16,8 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import relax, simplex
-from .cnf import Formula
-from .errors import UnsupportedFormulaError
+from .cnf import Formula, require_uniform
 from .mvlogic import mod_shift
 
 SAT_CLAIM = "sat_claim"
@@ -90,6 +89,18 @@ def round_assignment(
     return tuple(values), tuple(anomalies)
 
 
+def build_system(formula: Formula, config: PipelineConfig) -> simplex.LpSystem:
+    """The relaxation ``config`` selects, with the coordinate-sum objective
+    when it asks for maximize_sum.  Applies no width rule beyond the
+    relaxation's own, so affine mode accepts mixed widths here."""
+    system = relax.build_relaxation(
+        formula, config.negation_mode, config.bound_mode
+    )
+    if config.objective == OBJECTIVE_MAX_SUM and formula.num_vars > 0:
+        system = replace(system, objective=(1,) * formula.num_vars)
+    return system
+
+
 def run(formula: Formula, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
     """Run relax, solve, round; claim sat or unsat accordingly.
 
@@ -97,22 +108,8 @@ def run(formula: Formula, config: PipelineConfig = PipelineConfig()) -> Pipeline
     variable appears in no constraint) falls back to the plain feasibility
     point, since unbounded still means feasible.
     """
-    width = None
-    if formula.clauses:
-        width = formula.uniform_width
-        if width is None:
-            raise UnsupportedFormulaError(
-                "pipeline requires a uniform clause width"
-            )
-        if width < 2:
-            raise UnsupportedFormulaError(
-                f"clause width must be >= 2, got {width}"
-            )
-    system = relax.build_relaxation(
-        formula, config.negation_mode, config.bound_mode
-    )
-    if config.objective == OBJECTIVE_MAX_SUM and formula.num_vars > 0:
-        system = replace(system, objective=(1,) * formula.num_vars)
+    width = require_uniform(formula, 2) if formula.clauses else None
+    system = build_system(formula, config)
     sol = simplex.solve(system)
     pivots = sol.pivot_steps
     if sol.status == simplex.UNBOUNDED:

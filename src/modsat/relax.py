@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .cnf import Formula
-from .errors import UnsupportedFormulaError
+from .cnf import Formula, require_uniform
 from .simplex import FEASIBLE, LinearConstraint, LpSystem, solve
 
 FAITHFUL = "faithful"
@@ -49,10 +48,7 @@ def build_relaxation(
     """
     _check_modes(negation_mode, bound_mode)
     if negation_mode == FAITHFUL and formula.clauses:
-        if formula.uniform_width is None:
-            raise UnsupportedFormulaError(
-                "faithful mode requires a uniform clause width"
-            )
+        require_uniform(formula, 1)
     constraints = []
     for clause in formula.clauses:
         width = clause.width

@@ -224,3 +224,17 @@ def test_bad_flags_exit_2(simple_file):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["nonsense"])
+
+
+def test_unexpected_exception_is_one_error_line(simple_file, capsys, monkeypatch):
+    def deep(formula, node_budget):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("modsat.oracle.dpll_sat", deep)
+    assert main(["oracle", simple_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
+    assert "Traceback" not in captured.err

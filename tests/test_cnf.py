@@ -15,9 +15,10 @@ from modsat.cnf import (
     evaluate,
     parse_dimacs,
     random_kcnf,
+    require_uniform,
     write_dimacs,
 )
-from modsat.errors import DimacsError
+from modsat.errors import DimacsError, UnsupportedFormulaError
 
 from conftest import formulas
 
@@ -209,3 +210,16 @@ def test_random_kcnf_validation():
         random_kcnf(2, 5, 0, seed=0)
     with pytest.raises(ValueError):
         random_kcnf(2, -1, 2, seed=0)
+
+
+def test_require_uniform():
+    f = Formula(3, (clause_of(1, 2), clause_of(-2, 3)))
+    assert require_uniform(f, 2) == 2
+    assert require_uniform(Formula(1, (clause_of(1),)), 1) == 1
+    for bad, min_width in (
+        (Formula(2, ()), 1),
+        (Formula(3, (clause_of(1, 2), clause_of(1, 2, 3))), 2),
+        (Formula(1, (clause_of(1),)), 2),
+    ):
+        with pytest.raises(UnsupportedFormulaError):
+            require_uniform(bad, min_width)

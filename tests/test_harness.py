@@ -134,6 +134,42 @@ def test_csv_layout():
     assert "wall" not in lines[0]
 
 
+def test_record_serialisation(monkeypatch):
+    header = (
+        "instance_id,category,claim,candidate_verified,oracle_status,"
+        "oracle_nodes,num_vars,num_clauses,width,lp_pivots,pipeline_steps,"
+        "fold_additions,anomaly_count,error"
+    )
+    ok = diff_run(small_corpus()[:1])
+    assert ok.to_csv().splitlines()[0] == header
+
+    def boom(formula, config):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(pipeline, "run", boom)
+    report = diff_run(small_corpus()[:1])
+    assert report.records[0].to_dict() == {
+        "instance_id": "allpos",
+        "category": "error",
+        "claim": "error",
+        "candidate_verified": None,
+        "oracle_status": "error",
+        "oracle_nodes": None,
+        "num_vars": 3,
+        "num_clauses": 2,
+        "width": 2,
+        "lp_pivots": 0,
+        "pipeline_steps": 0,
+        "fold_additions": None,
+        "anomaly_count": 0,
+        "error": "RuntimeError: injected failure",
+    }
+    assert report.to_csv().splitlines() == [
+        header,
+        "allpos,error,error,,error,,3,2,2,0,0,,0,RuntimeError: injected failure",
+    ]
+
+
 def test_fit_exponent_recovers_powers():
     xs = [10, 20, 40, 80]
     assert abs(fit_exponent(xs, [x**2 for x in xs]) - 2.0) < 1e-12

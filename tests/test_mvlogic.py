@@ -163,6 +163,18 @@ def test_enumeration_budget():
     assert len(list(enumerate_unary(4, budget=256))) == 256
 
 
+def test_budget_refuses_huge_arities_without_counting():
+    # The table count at these arities has thousands to millions of digits;
+    # the budget check must not build or format it.
+    for tables in (
+        enumerate_binary(60),
+        enumerate_unary(2000),
+        enumerate_binary(2000),
+    ):
+        with pytest.raises(BudgetExceededError, match="exceed budget"):
+            next(tables)
+
+
 @given(n=st.integers(2, 4))
 def test_unary_enumeration_induced_maps_distinct(n):
     seen = {t.values() for t in enumerate_unary(n)}
