@@ -1,10 +1,13 @@
 """Exact satisfiability oracles: exhaustive enumeration and DPLL.
 
-Both are deterministic.  Brute force walks assignments as ascending integers
-(bit i-1 is variable i) and returns the first witness.  DPLL does unit
-propagation and pure-literal elimination to a fixpoint, then branches on the
-lowest-numbered variable still occurring, false first, under a node budget.
-A blown budget raises; it is never reported as a verdict.
+Both are deterministic and see a clause as (pos, neg) bitmasks of its
+variables, bit i-1 for variable i.  Brute force walks assignments as
+ascending integers and returns the first witness.  DPLL sets unit and pure
+literals in batches of mask operations to a fixpoint, then branches on the
+lowest-numbered variable still occurring, false first.  A node keeps the
+mask of variables set true (a set variable leaves its clauses; the witness
+reads the rest as false) and lives on an explicit stack, so depth is bounded
+only by the node budget.  A blown budget raises; it is never a verdict.
 """
 
 from __future__ import annotations
@@ -34,6 +37,20 @@ def verify(formula: Formula, assignment: Sequence[bool]) -> bool:
     return evaluate(formula, assignment)
 
 
+def _clause_masks(formula: Formula) -> list[tuple[int, int]]:
+    """Each clause as (pos, neg) bitmasks of its positive and negated variables."""
+    masks = []
+    for clause in formula.clauses:
+        pos = neg = 0
+        for lit in clause.literals:
+            if lit.negated:
+                neg |= 1 << (lit.var - 1)
+            else:
+                pos |= 1 << (lit.var - 1)
+        masks.append((pos, neg))
+    return masks
+
+
 def brute_force_sat(
     formula: Formula, max_vars: int = BRUTE_FORCE_MAX_VARS
 ) -> OracleVerdict:
@@ -43,17 +60,7 @@ def brute_force_sat(
         raise BudgetExceededError(
             f"{n} variables exceed the brute force cap of {max_vars}"
         )
-    pos_neg = []
-    for clause in formula.clauses:
-        pos = 0
-        neg = 0
-        for lit in clause.literals:
-            bit = 1 << (lit.var - 1)
-            if lit.negated:
-                neg |= bit
-            else:
-                pos |= bit
-        pos_neg.append((pos, neg))
+    pos_neg = _clause_masks(formula)
     full = (1 << n) - 1
     tried = 0
     for a in range(1 << n):
@@ -65,92 +72,85 @@ def brute_force_sat(
     return OracleVerdict(UNSAT, None, tried)
 
 
-def _propagate(clauses: list[list[int]], assign: dict[int, bool]):
+def _assign(clauses: list[tuple[int, int]], up: int, un: int):
+    """Set the variables of ``up`` true and of ``un`` false: drop satisfied
+    clauses, strip false literals.  Returns the clauses left, the ORs of their
+    pos and of their neg masks and the variables of their positive and of
+    their negative units; None when a clause loses every literal."""
+    reduced = []
+    pos = neg = unit_p = unit_n = 0
+    for c in clauses:
+        p, n = c
+        if p & up or n & un:
+            continue
+        if p & un or n & up:
+            p &= ~un
+            n &= ~up
+            c = (p, n)
+        # A unit has exactly one literal; a tautology sets a bit in both.
+        if not n:
+            if not p:
+                return None
+            if not p & (p - 1):
+                unit_p |= p
+        elif not p and not n & (n - 1):
+            unit_n |= n
+        pos |= p
+        neg |= n
+        reduced.append(c)
+    return reduced, pos, neg, unit_p, unit_n
+
+
+def _propagate(clauses, pos: int, neg: int, true: int, up: int, un: int):
     """Unit propagation and pure-literal elimination to a fixpoint.
 
-    Returns (clauses, True) on success with ``assign`` extended in place,
-    or (None, False) on conflict.
+    Takes a node: clauses, the ORs of their masks, the variables set true and
+    the first unit batch.  A round sets its units, then every pure literal;
+    the unit clauses left open the next.  Returns (clauses, pos, neg, true),
+    or None on a conflict.
     """
     while True:
-        changed = False
-        # Unit clauses force assignments.
-        units = {}
-        for c in clauses:
-            if len(c) == 1:
-                lit = c[0]
-                if units.get(abs(lit), lit) != lit:
-                    return None, False  # opposite units
-                units[abs(lit)] = lit
+        if up & un:
+            return None  # opposite units
+        units = up | un
         if units:
-            changed = True
-            for var, lit in units.items():
-                assign[var] = lit > 0
-            clauses, ok = _reduce(clauses, units.values())
-            if not ok:
-                return None, False
-        # Pure literals can be satisfied for free.
-        polarity: dict[int, int] = {}
-        for c in clauses:
-            for lit in c:
-                polarity[abs(lit)] = polarity.get(abs(lit), 0) | (1 if lit > 0 else 2)
-        pures = [var if mask == 1 else -var for var, mask in polarity.items() if mask != 3]
-        if pures:
-            changed = True
-            for lit in pures:
-                assign[abs(lit)] = lit > 0
-            clauses, ok = _reduce(clauses, pures)
-            if not ok:
-                return None, False
-        if not changed:
-            return clauses, True
-
-
-def _reduce(clauses: list[list[int]], literals) -> tuple[list[list[int]] | None, bool]:
-    """Apply a batch of decided literals: drop satisfied clauses, strip
-    falsified literals, fail on an emptied clause."""
-    true_lits = set(literals)
-    false_lits = {-lit for lit in true_lits}
-    out = []
-    for c in clauses:
-        if any(lit in true_lits for lit in c):
-            continue
-        reduced = [lit for lit in c if lit not in false_lits]
-        if not reduced:
-            return None, False
-        out.append(reduced)
-    return out, True
+            true |= up
+            reduced = _assign(clauses, up, un)
+            if reduced is None:
+                return None
+            clauses, pos, neg, up, un = reduced
+        pure_p = pos & ~neg
+        pure_n = neg & ~pos
+        if pure_p | pure_n:
+            true |= pure_p
+            clauses, pos, neg, up, un = _assign(clauses, pure_p, pure_n)
+        elif not units:
+            return clauses, pos, neg, true
 
 
 def dpll_sat(
     formula: Formula, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> OracleVerdict:
     """DPLL search.  Raises BudgetExceededError when the node budget runs out."""
-    clauses = [
-        [lit.to_dimacs() for lit in clause.literals] for clause in formula.clauses
-    ]
-    counter = {"nodes": 0}
-
-    def search(clauses: list[list[int]], assign: dict[int, bool]):
-        counter["nodes"] += 1
-        if counter["nodes"] > node_budget:
+    # The root opens with its own units, every other node with its branch.
+    clauses, pos, neg, up, un = _assign(_clause_masks(formula), 0, 0)
+    stack = [(clauses, pos, neg, 0, up, un)]
+    nodes = 0
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        if nodes > node_budget:
             raise BudgetExceededError(
                 f"DPLL node budget of {node_budget} exceeded"
             )
-        clauses, ok = _propagate(clauses, assign)
-        if not ok:
-            return None
+        result = _propagate(*node)
+        if result is None:
+            continue
+        clauses, pos, neg, true = result
         if not clauses:
-            return assign
-        var = min(abs(lit) for c in clauses for lit in c)
-        for lit in (-var, var):  # false branch first
-            result = search(clauses + [[lit]], dict(assign))
-            if result is not None:
-                return result
-        return None
-
-    assign = search(clauses, {})
-    nodes = counter["nodes"]
-    if assign is None:
-        return OracleVerdict(UNSAT, None, nodes)
-    witness = tuple(assign.get(v, False) for v in range(1, formula.num_vars + 1))
-    return OracleVerdict(SAT, witness, nodes)
+            witness = tuple(bool(true >> i & 1) for i in range(formula.num_vars))
+            return OracleVerdict(SAT, witness, nodes)
+        bit = (pos | neg) & -(pos | neg)  # lowest remaining variable
+        stack.append((clauses, pos, neg, true, bit, 0))  # true branch
+        stack.append((clauses, pos, neg, true, 0, bit))  # false branch, searched first
+    return OracleVerdict(UNSAT, None, nodes)

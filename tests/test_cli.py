@@ -157,6 +157,18 @@ def test_oracle_budget_exit_zero(tmp_path, capsys):
     assert data["status"] == "budget_exceeded"
 
 
+def test_oracle_deep_formula(tmp_path, capsys):
+    # 1,200 disjoint pairs (a or b)(not a or not b): a search 1,200 levels
+    # deep, which once overflowed the interpreter stack.
+    lines = [f"{a} {a + 1} 0\n{-a} {-a - 1} 0" for a in range(1, 2401, 2)]
+    text = "p cnf 2400 2400\n" + "\n".join(lines) + "\n"
+    path = write_cnf(tmp_path, "pairs.cnf", text)
+    data = run_json(capsys, ["oracle", path])
+    assert data["status"] == "sat"
+    assert data["witness"] == "01" * 1200
+    assert data["nodes_explored"] == 1201
+
+
 def test_diff_end_to_end(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     assert main([

@@ -1,10 +1,12 @@
 """Exact oracles: brute force and DPLL must agree with each other and with
 the reference evaluator on every verdict and witness."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 
-from modsat.cnf import Formula, clause_of, random_kcnf
+from modsat.cnf import Formula, clause_of, evaluate, random_kcnf
 from modsat.errors import BudgetExceededError
 from modsat.oracle import (
     SAT,
@@ -95,6 +97,56 @@ def test_dpll_budget_raises_instead_of_guessing():
     f = random_kcnf(30, 128, 3, seed=5)
     with pytest.raises(BudgetExceededError):
         dpll_sat(f, node_budget=2)
+
+
+def test_dpll_budget_boundary_is_exact():
+    f = random_kcnf(30, 128, 3, seed=5)
+    verdict = dpll_sat(f, node_budget=99)
+    assert verdict.status == UNSAT
+    assert verdict.nodes_explored == 99
+    with pytest.raises(BudgetExceededError):
+        dpll_sat(f, node_budget=98)
+
+
+def test_dpll_tautology_is_not_a_unit():
+    # x1 or not x1 has one variable but two literals: no unit, no pure
+    # literal, so the root branches and the false child satisfies it.
+    verdict = dpll_sat(Formula(1, (clause_of(1, -1),)))
+    assert verdict == OracleVerdict(SAT, (False,), 2)
+
+
+def test_dpll_depth_is_bounded_only_by_the_budget():
+    # 1,200 disjoint pairs (a or b)(not a or not b): one branch per pair,
+    # 1,200 levels deep, each false branch satisfying its pair at once.
+    clauses = []
+    for a in range(1, 2401, 2):
+        clauses += [clause_of(a, a + 1), clause_of(-a, -a - 1)]
+    f = Formula(2400, tuple(clauses))
+    verdict = dpll_sat(f)
+    assert verdict.status == SAT
+    assert verdict.nodes_explored == 1201
+    assert evaluate(f, verdict.witness)
+
+
+@pytest.mark.parametrize(
+    "num_vars, num_clauses, count, sat, nodes, digest",
+    [
+        (12, 51, 500, 364, 6345,
+         "37fc5cdff09280d93614598c3b26582c33d28290f721831429a233260a8ff08a"),
+        (24, 102, 400, 263, 18076,
+         "ce66ee9a8d0e2f35644de4d0b388fc7993843b6940180610688f8801a6ee43b6"),
+    ],
+)
+def test_dpll_outputs_are_pinned(num_vars, num_clauses, count, sat, nodes, digest):
+    # Verdicts, witnesses and node counts of the recursive list-based DPLL
+    # this search replaced; the digest is sha256 of repr() of the rows.
+    rows = []
+    for seed in range(count):
+        v = dpll_sat(random_kcnf(num_vars, num_clauses, 3, seed))
+        rows.append((v.status, v.witness, v.nodes_explored))
+    assert sum(status == SAT for status, _, _ in rows) == sat
+    assert sum(n for _, _, n in rows) == nodes
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 def test_verdict_shape():
