@@ -9,7 +9,9 @@ indexed by var-1.  Two encodings of truth as integers are supported:
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import DimacsError, UnsupportedFormulaError
@@ -18,9 +20,15 @@ ZERO_TRUE = "zero-true"
 ONE_TRUE = "one-true"
 _CONVENTIONS = (ZERO_TRUE, ONE_TRUE)
 
+# DIMACS numbers are ASCII decimal; int() alone would also take "1_0" or "２".
+_INTEGERS = re.compile(r"-?[0-9]+(?:\s+-?[0-9]+)*").fullmatch
+_HEADER = re.compile(r"p\s+cnf\s+([0-9]+)\s+([0-9]+)").fullmatch
+
 
 @dataclass(frozen=True)
 class Literal:
+    """A view of one signed DIMACS code; clauses store the codes themselves."""
+
     var: int
     negated: bool = False
 
@@ -30,31 +38,43 @@ class Literal:
 
     @classmethod
     def from_dimacs(cls, code: int) -> "Literal":
-        if code == 0:
-            raise ValueError("0 is a clause terminator, not a literal")
         return cls(abs(code), code < 0)
 
     def to_dimacs(self) -> int:
         return -self.var if self.negated else self.var
 
 
-@dataclass(frozen=True)
-class Clause:
-    literals: tuple[Literal, ...]
+class Clause(tuple):
+    """A tuple of signed DIMACS codes: v for x_v and -v for not x_v."""
 
-    def __post_init__(self):
-        if not self.literals:
-            raise ValueError("clause must contain at least one literal")
-        seen = set()
-        for lit in self.literals:
-            key = (lit.var, lit.negated)
-            if key in seen:
-                raise ValueError(f"duplicate literal {lit.to_dimacs()} in clause")
-            seen.add(key)
+    __slots__ = ()
+
+    def __new__(cls, literals: Iterable[Literal]):
+        return clause_of(*(lit.to_dimacs() for lit in literals))
+
+    def __reduce__(self):  # pickle and copy rebuild from the codes
+        return clause_of, tuple(self)
 
     @property
     def width(self) -> int:
-        return len(self.literals)
+        return len(self)
+
+    @property
+    def literals(self) -> tuple[Literal, ...]:
+        return tuple(map(Literal.from_dimacs, self))
+
+
+def clause_of(*codes: int) -> Clause:
+    """The one constructor and the one check of a clause of signed codes."""
+    if not codes:
+        raise ValueError("empty clause: a clause needs at least one literal")
+    if set(map(type, codes)) != {int}:
+        raise ValueError(f"literals must be integers, got {codes!r}")
+    if 0 in codes:
+        raise ValueError("0 inside clause body: 0 terminates a clause")
+    if len(set(codes)) != len(codes):
+        raise ValueError(f"duplicate literal in clause {codes}")
+    return tuple.__new__(Clause, codes)
 
 
 @dataclass(frozen=True)
@@ -65,13 +85,14 @@ class Formula:
     def __post_init__(self):
         if not isinstance(self.num_vars, int) or self.num_vars < 0:
             raise ValueError(f"num_vars must be >= 0, got {self.num_vars!r}")
-        for clause in self.clauses:
-            for lit in clause.literals:
-                if lit.var > self.num_vars:
-                    raise ValueError(
-                        f"literal references variable {lit.var} "
-                        f"but only {self.num_vars} are declared"
-                    )
+        if not all(isinstance(c, Clause) for c in self.clauses):
+            raise TypeError("clauses must be built with clause_of")
+        top = max(map(abs, chain.from_iterable(self.clauses)), default=0)
+        if top > self.num_vars:
+            raise ValueError(
+                f"literal references variable {top} "
+                f"but only {self.num_vars} are declared"
+            )
 
     @property
     def num_clauses(self) -> int:
@@ -80,14 +101,14 @@ class Formula:
     @property
     def uniform_width(self) -> int | None:
         """Common clause width, or None when empty or mixed."""
-        widths = {c.width for c in self.clauses}
+        widths = set(map(len, self.clauses))
         if len(widths) == 1:
             return widths.pop()
         return None
 
     @property
     def negated_occurrences(self) -> int:
-        return sum(lit.negated for c in self.clauses for lit in c.literals)
+        return sum(code < 0 for c in self.clauses for code in c)
 
 
 def require_uniform(formula: Formula, min_width: int) -> int:
@@ -107,11 +128,6 @@ def require_uniform(formula: Formula, min_width: int) -> int:
             f"clause width must be >= {min_width}, got {width}"
         )
     return width
-
-
-def clause_of(*codes: int) -> Clause:
-    """Build a clause from DIMACS-style signed integers."""
-    return Clause(tuple(Literal.from_dimacs(c) for c in codes))
 
 
 def parse_dimacs(text: str | bytes) -> Formula:
@@ -135,41 +151,30 @@ def parse_dimacs(text: str | bytes) -> Formula:
         if line.startswith("p"):
             if num_vars is not None:
                 raise DimacsError("duplicate header", lineno)
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
+            header = _HEADER(line)
+            if not header:
                 raise DimacsError(f"malformed header {line!r}", lineno)
-            try:
-                num_vars = int(parts[2])
-                num_clauses = int(parts[3])
-            except ValueError:
-                raise DimacsError(f"malformed header {line!r}", lineno) from None
-            if num_vars < 0 or num_clauses < 0:
-                raise DimacsError("header counts must be >= 0", lineno)
+            num_vars, num_clauses = map(int, header.groups())
             continue
         if num_vars is None:
             raise DimacsError("clause before header", lineno)
-        try:
-            codes = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise DimacsError(f"non-integer token in {line!r}", lineno) from None
+        if not _INTEGERS(line):
+            raise DimacsError(f"non-integer token in {line!r}", lineno)
+        codes = list(map(int, line.split()))
         if codes[-1] != 0:
             raise DimacsError("clause line must end with 0", lineno)
-        body = codes[:-1]
-        if 0 in body:
-            raise DimacsError("0 inside clause body", lineno)
-        if not body:
-            raise DimacsError("empty clause", lineno)
-        for code in body:
-            if abs(code) > num_vars:
-                raise DimacsError(
-                    f"literal {code} exceeds declared {num_vars} variables", lineno
-                )
-        if len(clauses) == num_clauses:
-            raise DimacsError("more clauses than declared", lineno)
         try:
-            clauses.append(clause_of(*body))
+            clause = clause_of(*codes[:-1])
         except ValueError as exc:
             raise DimacsError(str(exc), lineno) from None
+        top = max(clause, key=abs)
+        if abs(top) > num_vars:
+            raise DimacsError(
+                f"literal {top} exceeds declared {num_vars} variables", lineno
+            )
+        if len(clauses) == num_clauses:
+            raise DimacsError("more clauses than declared", lineno)
+        clauses.append(clause)
     if num_vars is None:
         raise DimacsError("missing header")
     if len(clauses) != num_clauses:
@@ -183,22 +188,25 @@ def write_dimacs(formula: Formula) -> str:
     """Canonical DIMACS text: header, then one clause per line."""
     lines = [f"p cnf {formula.num_vars} {formula.num_clauses}"]
     for clause in formula.clauses:
-        lines.append(
-            " ".join(str(lit.to_dimacs()) for lit in clause.literals) + " 0"
-        )
+        lines.append(" ".join(map(str, clause)) + " 0")
     return "\n".join(lines) + "\n"
 
 
 def evaluate(formula: Formula, assignment: Sequence[bool]) -> bool:
     """Standard CNF semantics: every clause has at least one true literal."""
+    require_assignment(formula, assignment)
+    return all(
+        any(assignment[abs(code) - 1] != (code < 0) for code in clause)
+        for clause in formula.clauses
+    )
+
+
+def require_assignment(formula: Formula, assignment: Sequence[bool]) -> None:
+    """Raise ValueError unless ``assignment`` gives one value per variable."""
     if len(assignment) != formula.num_vars:
         raise ValueError(
             f"assignment length {len(assignment)} != {formula.num_vars} variables"
         )
-    return all(
-        any(assignment[lit.var - 1] != lit.negated for lit in clause.literals)
-        for clause in formula.clauses
-    )
 
 
 def _check_convention(convention: str) -> None:
@@ -248,6 +256,6 @@ def random_kcnf(
     for _ in range(num_clauses):
         chosen = rng.sample(range(1, num_vars + 1), width)
         clauses.append(
-            Clause(tuple(Literal(v, rng.random() < 0.5) for v in chosen))
+            clause_of(*(-v if rng.random() < 0.5 else v for v in chosen))
         )
     return Formula(num_vars, tuple(clauses))

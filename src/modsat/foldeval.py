@@ -15,9 +15,10 @@ and column offsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
-from .cnf import Clause, Formula, require_uniform
+from .cnf import Clause, Formula, require_assignment, require_uniform
 from .mvlogic import clause_join_table
 
 
@@ -35,22 +36,20 @@ class FoldResult:
 
 
 def clause_sum(clause: Clause, assignment: Sequence[bool]) -> int:
-    """Sum of the clause's literal codes under the zero-is-true encoding.
+    """Sum of the clause's literal truth codes in the zero-is-true encoding.
 
-    A positive literal contributes the code of its variable, a negated one
-    the complement.  0 means every literal in the clause is true.
+    A positive literal contributes the truth code of its variable, a negated
+    one the complement.  0 means every literal in the clause is true.
     """
-    total = 0
-    for lit in clause.literals:
-        if lit.var > len(assignment):
-            raise ValueError(
-                f"assignment too short for variable {lit.var}"
-            )
-        code = 0 if assignment[lit.var - 1] else 1
-        if lit.negated:
-            code = 1 - code
-        total += code
-    return total
+    top = max(map(abs, clause))
+    if top > len(assignment):
+        raise ValueError(f"assignment too short for variable {top}")
+    return sum((not assignment[abs(code) - 1]) != (code < 0) for code in clause)
+
+
+@lru_cache(maxsize=None)
+def _join_values(width: int) -> tuple[tuple[int, ...], ...]:
+    return clause_join_table(width).values()
 
 
 def fold_eval(formula: Formula, assignment: Sequence[bool]) -> FoldResult:
@@ -61,26 +60,23 @@ def fold_eval(formula: Formula, assignment: Sequence[bool]) -> FoldResult:
     directly.  Returns the final value plus exact operation counts.
     """
     width = require_uniform(formula, 2)
-    if len(assignment) != formula.num_vars:
-        raise ValueError(
-            f"assignment length {len(assignment)} != {formula.num_vars} variables"
-        )
-    table = clause_join_table(width).values()
+    require_assignment(formula, assignment)
+    table = _join_values(width)
     additions = 0
     negations = 0
     table_calls = 0
     sums = []
     for clause in formula.clauses:
         total = -1
-        for lit in clause.literals:
-            code = 0 if assignment[lit.var - 1] else 1
-            if lit.negated:
-                code = 1 - code
+        for code in clause:
+            value = 0 if assignment[abs(code) - 1] else 1
+            if code < 0:
+                value = 1 - value
                 negations += 1
             if total < 0:
-                total = code
+                total = value
             else:
-                total += code
+                total += value
                 additions += 1
         sums.append(total)
     if len(sums) == 1:
@@ -102,10 +98,7 @@ def closed_form(formula: Formula, assignment: Sequence[bool]) -> int:
     Computed without the join table; must agree with fold_eval everywhere.
     """
     require_uniform(formula, 2)
-    if len(assignment) != formula.num_vars:
-        raise ValueError(
-            f"assignment length {len(assignment)} != {formula.num_vars} variables"
-        )
+    require_assignment(formula, assignment)
     if any(clause_sum(c, assignment) == 0 for c in formula.clauses):
         return 0
     return 1

@@ -308,16 +308,13 @@ def gen_corpus(
 
     Exactly one of ``num_clauses`` (fixed size) or ``ratios`` (clause count
     round(ratio * num_vars) per ratio, ``count`` instances each) must be
-    given.  The same arguments always produce byte-identical files.
+    given.  The same arguments always produce byte-identical files; two
+    ratios that would share a file name raise ValueError before any write.
     """
     if (num_clauses is None) == (ratios is None):
         raise ValueError("exactly one of num_clauses or ratios is required")
     if count < 1:
         raise ValueError("count must be >= 1")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    master = random.Random(seed)
-    paths = []
     if ratios is not None:
         plan = [
             (f"k{width}_n{num_vars}_r{ratio:g}_i{i:03d}.cnf",
@@ -330,6 +327,12 @@ def gen_corpus(
             (f"k{width}_n{num_vars}_m{num_clauses}_i{i:03d}.cnf", num_clauses)
             for i in range(count)
         ]
+    if len(dict(plan)) != len(plan):
+        raise ValueError(f"ratios {list(ratios)} give two files the same name")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    master = random.Random(seed)
+    paths = []
     for name, m in plan:
         fseed = master.randrange(2**32)
         formula = random_kcnf(num_vars, m, width, fseed)

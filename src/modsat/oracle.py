@@ -42,11 +42,11 @@ def _clause_masks(formula: Formula) -> list[tuple[int, int]]:
     masks = []
     for clause in formula.clauses:
         pos = neg = 0
-        for lit in clause.literals:
-            if lit.negated:
-                neg |= 1 << (lit.var - 1)
+        for code in clause:
+            if code < 0:
+                neg |= 1 << (-code - 1)
             else:
-                pos |= 1 << (lit.var - 1)
+                pos |= 1 << (code - 1)
         masks.append((pos, neg))
     return masks
 

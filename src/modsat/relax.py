@@ -55,9 +55,9 @@ def build_relaxation(
         bound = width if bound_mode == BOUND_K else width - 1
         coeffs: dict[int, int] = {}
         offset = 0
-        for lit in clause.literals:
-            var = lit.var - 1
-            if negation_mode == FAITHFUL or not lit.negated:
+        for code in clause:
+            var = abs(code) - 1
+            if negation_mode == FAITHFUL or code > 0:
                 coeffs[var] = coeffs.get(var, 0) + 1
             else:
                 coeffs[var] = coeffs.get(var, 0) - 1

@@ -1,6 +1,8 @@
 """Formula model, DIMACS round trip, reference semantics, generation."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given
@@ -101,6 +103,9 @@ def test_parse_blank_lines_and_comments():
         ("p cnf 1 1\n1 2 0\n", 2, "exceeds declared"),
         ("p cnf 2 1\n1 1 0\n", 2, "duplicate literal"),
         ("p cnf 2 1\n1 a 0\n", 2, "non-integer"),
+        ("p cnf 12 1\n1_0 -2 0\n", 2, "non-integer"),
+        ("p cnf 12 1\n1 -\uff12 0\n", 2, "non-integer"),
+        ("p cnf \uff12 1\n", 1, "malformed header"),
         ("p cnf 2 1\n1 0\n2 0\n", 3, "more clauses"),
     ],
 )
@@ -116,6 +121,13 @@ def test_parse_errors_without_line():
         parse_dimacs("c nothing\n")
     with pytest.raises(DimacsError, match="declared 2 clauses but found 1"):
         parse_dimacs("p cnf 2 2\n1 2 0\n")
+
+
+def test_formulas_survive_pickle_and_copy():
+    f = parse_dimacs("p cnf 3 2\n1 -2 0\n2 3 0\n")
+    for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert g == f
+        assert all(isinstance(c, Clause) for c in g.clauses)
 
 
 def test_write_canonical():

@@ -229,6 +229,15 @@ def test_gen_corpus_argument_validation(tmp_path):
         gen_corpus(tmp_path, 8, 3, 0, seed=0, num_clauses=5)
 
 
+@pytest.mark.parametrize("ratios", [[3, 3.0000001], [3, 3]])
+def test_gen_corpus_refuses_colliding_names(tmp_path, ratios):
+    # Both ratios format as r3, so the second file would overwrite the first.
+    out = tmp_path / "corpus"
+    with pytest.raises(ValueError, match="the same name"):
+        gen_corpus(out, num_vars=8, width=3, count=2, seed=1, ratios=ratios)
+    assert not out.exists()
+
+
 def test_load_corpus_sorted(tmp_path):
     gen_corpus(tmp_path, num_vars=6, width=2, count=3, seed=2, num_clauses=4)
     corpus = load_corpus(tmp_path)

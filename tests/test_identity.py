@@ -1,0 +1,107 @@
+"""Byte identity of generated DIMACS text and of canonical diff reports.
+
+The digests were taken before clauses became tuples of signed DIMACS codes.
+A change to the formula representation, the generator, the parser, the
+pipeline or the report format that alters a single byte fails here.
+"""
+
+import hashlib
+import itertools
+import random
+
+import pytest
+
+from modsat import harness, pipeline, relax
+from modsat.cnf import random_kcnf, write_dimacs
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def generated_dimacs() -> str:
+    """Canonical text of a seeded batch: widths 2-5, up to 40 variables,
+    from no clauses to ratio 6."""
+    rng = random.Random(20261018)
+    texts = []
+    for width in range(2, 6):
+        for num_vars in (width, 7, 12, 25, 40):
+            num_clauses = rng.randrange(6 * num_vars + 1)
+            seed = rng.randrange(2**32)
+            texts.append(write_dimacs(random_kcnf(num_vars, num_clauses, width, seed)))
+    return "".join(texts)
+
+
+def diff_reports(corpus_dir, negation, bound, objective) -> tuple[str, str]:
+    """Canonical JSON and CSV of ``diff_run`` with round base k on a seeded
+    n=12 corpus written to and read back from ``corpus_dir``, plus the
+    contradiction."""
+    harness.gen_corpus(corpus_dir, 12, 3, count=1, seed=6, ratios=[3, 4.27, 5])
+    corpus = harness.load_corpus(corpus_dir)
+    corpus.append(("contradiction", harness.contradiction_2cnf()))
+    config = pipeline.PipelineConfig(
+        negation, bound, pipeline.ROUND_BASE_WIDTH, objective
+    )
+    report = harness.diff_run(corpus, config)
+    return report.to_canonical_json(), report.to_csv()
+
+
+GENERATED_DIMACS_SHA256 = (
+    "6dff4b534a6dff5523eaad30ad475d70d37ef7c32df7e6f59eff12c59259d1ed"
+)
+
+CONFIGS = list(
+    itertools.product(
+        relax.NEGATION_MODES,
+        relax.BOUND_MODES,
+        (pipeline.OBJECTIVE_NONE, pipeline.OBJECTIVE_MAX_SUM),
+    )
+)
+
+# (canonical JSON, CSV) per configuration
+DIFF_SHA256 = {
+    ("faithful", "k", "none"): (
+        "ff5645a18b5b135df6695f09bb2d44d0829bb47975db23b9c51e37fdd7fa012c",
+        "4d8278f1dcd32932736d304c0f5437172f7a85acf890d272a192d3f4bb10f9a6",
+    ),
+    ("faithful", "k", "maximize_sum"): (
+        "a661d069531d7610d0da0b1c039f72914b4c9412afc90ac70dc22a7a935db485",
+        "dcaad44166e523936bd9cf587cc890aa85778968d13947254c9386b3477647e9",
+    ),
+    ("faithful", "k-1", "none"): (
+        "5aa3e1c5240219e82a42698e01d99d4ee4e66d3d5390e502ca72f180241d634c",
+        "4d8278f1dcd32932736d304c0f5437172f7a85acf890d272a192d3f4bb10f9a6",
+    ),
+    ("faithful", "k-1", "maximize_sum"): (
+        "f0468720a6dedcaba54971058346331ca9d5c311123fd660ff8aba73a1512cfa",
+        "dcaad44166e523936bd9cf587cc890aa85778968d13947254c9386b3477647e9",
+    ),
+    ("affine", "k", "none"): (
+        "ed0a02f73f280c20e99d602c2e34d3883eb6540dc58feb12e66e50ddec76719b",
+        "195ab3ea4cdb2a5b2a1f5334c4bb5e4bfab76e868f6c7495d22320beaf065c3d",
+    ),
+    ("affine", "k", "maximize_sum"): (
+        "749e79479f9847152c360f0c7530d79c4e027843e8c76483b8ce95ebca9fb0dd",
+        "45d8cd69c11e3d980e35587bf242c59c1008227e0a6a0c4848d8248fed6ff205",
+    ),
+    ("affine", "k-1", "none"): (
+        "eb91568f3a3805d2bba11b7bca8af74c05c66ddcc33c01bad207feff2232c19a",
+        "9a57d35eb294bbc5daa99485c7f900d799a4b36006eac847f04432788deecc15",
+    ),
+    ("affine", "k-1", "maximize_sum"): (
+        "bee5f2a2debf5d998369fe1800642928e947c7fdef3b6b6866e4503414fe11f8",
+        "ad46a57e2114108269ac7191262ec25884ee9e08c3b78fd559c02e4fba65a775",
+    ),
+}
+
+
+def test_generated_dimacs_is_byte_identical():
+    assert _sha256(generated_dimacs()) == GENERATED_DIMACS_SHA256
+
+
+@pytest.mark.parametrize("negation,bound,objective", CONFIGS)
+def test_diff_reports_are_byte_identical(tmp_path, negation, bound, objective):
+    report_json, report_csv = diff_reports(tmp_path, negation, bound, objective)
+    assert (_sha256(report_json), _sha256(report_csv)) == DIFF_SHA256[
+        (negation, bound, objective)
+    ]
