@@ -2,82 +2,4 @@
 exact oracles, and a differential harness that measures the gap between the
 pipeline's claims and ground truth."""
 
-from .cnf import (
-    Clause,
-    Formula,
-    Literal,
-    clause_of,
-    decode_assignment,
-    encode_assignment,
-    evaluate,
-    parse_dimacs,
-    random_kcnf,
-    write_dimacs,
-)
-from .errors import BudgetExceededError, DimacsError, UnsupportedFormulaError
-from .foldeval import FoldResult, OpCount, clause_sum, closed_form, fold_eval, predicted_ops
-from .harness import DiffRecord, DiffReport, bench_eval, diff_run, gen_corpus
-from .mvlogic import (
-    BinaryTable,
-    UnaryTable,
-    clause_join_table,
-    connective_name,
-    enumerate_binary,
-    enumerate_unary,
-    mod_shift,
-)
-from .oracle import OracleVerdict, brute_force_sat, dpll_sat, verify
-from .pipeline import PipelineConfig, PipelineResult, round_assignment, run
-from .relax import build_relaxation, max_clause_decomposition
-from .simplex import LinearConstraint, LpSolution, LpSystem, max_violation, solve
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BinaryTable",
-    "BudgetExceededError",
-    "Clause",
-    "DiffRecord",
-    "DiffReport",
-    "DimacsError",
-    "FoldResult",
-    "Formula",
-    "LinearConstraint",
-    "Literal",
-    "LpSolution",
-    "LpSystem",
-    "OpCount",
-    "OracleVerdict",
-    "PipelineConfig",
-    "PipelineResult",
-    "UnaryTable",
-    "UnsupportedFormulaError",
-    "bench_eval",
-    "brute_force_sat",
-    "build_relaxation",
-    "clause_join_table",
-    "clause_of",
-    "clause_sum",
-    "closed_form",
-    "connective_name",
-    "decode_assignment",
-    "diff_run",
-    "dpll_sat",
-    "encode_assignment",
-    "enumerate_binary",
-    "enumerate_unary",
-    "evaluate",
-    "fold_eval",
-    "gen_corpus",
-    "max_clause_decomposition",
-    "max_violation",
-    "mod_shift",
-    "parse_dimacs",
-    "predicted_ops",
-    "random_kcnf",
-    "round_assignment",
-    "run",
-    "solve",
-    "verify",
-    "write_dimacs",
-]

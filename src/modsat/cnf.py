@@ -1,9 +1,7 @@
 """CNF formulas: model, DIMACS round trip, reference semantics, generation.
 
 Variables are 1-based, matching DIMACS.  Assignments are tuples of bools
-indexed by var-1.  Two encodings of truth as integers are supported:
-"zero-true" (0 is true) used by the evaluator modules, and "one-true"
-(1 is true).
+indexed by var-1.
 """
 
 from __future__ import annotations
@@ -15,10 +13,6 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import DimacsError, UnsupportedFormulaError
-
-ZERO_TRUE = "zero-true"
-ONE_TRUE = "one-true"
-_CONVENTIONS = (ZERO_TRUE, ONE_TRUE)
 
 # DIMACS numbers are ASCII decimal; int() alone would also take "1_0" or "２".
 _INTEGERS = re.compile(r"-?[0-9]+(?:\s+-?[0-9]+)*").fullmatch
@@ -207,34 +201,6 @@ def require_assignment(formula: Formula, assignment: Sequence[bool]) -> None:
         raise ValueError(
             f"assignment length {len(assignment)} != {formula.num_vars} variables"
         )
-
-
-def _check_convention(convention: str) -> None:
-    if convention not in _CONVENTIONS:
-        raise ValueError(f"unknown truth convention {convention!r}")
-
-
-def encode_assignment(
-    values: Iterable[bool], convention: str = ZERO_TRUE
-) -> tuple[int, ...]:
-    """Booleans to integer codes.  Zero-true convention: True -> 0."""
-    _check_convention(convention)
-    if convention == ZERO_TRUE:
-        return tuple(0 if v else 1 for v in values)
-    return tuple(1 if v else 0 for v in values)
-
-
-def decode_assignment(
-    codes: Iterable[int], convention: str = ZERO_TRUE
-) -> tuple[bool, ...]:
-    """Integer codes back to booleans, inverse of encode_assignment."""
-    _check_convention(convention)
-    out = []
-    for c in codes:
-        if c not in (0, 1):
-            raise ValueError(f"code {c!r} is not a two-valued truth code")
-        out.append(c == 0 if convention == ZERO_TRUE else c == 1)
-    return tuple(out)
 
 
 def random_kcnf(

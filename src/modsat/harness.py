@@ -20,10 +20,9 @@ import io
 import json
 import math
 import random
-import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import oracle, pipeline
 from .cnf import (
@@ -253,10 +252,11 @@ def bench_eval(
     seed: int,
     num_vars: int | None = None,
 ) -> dict:
-    """Measure fold evaluation cost across clause counts at fixed width.
+    """Count fold evaluation's operations across clause counts at fixed width.
 
-    Returns the per-size operation counts, the exact-match flag against the
-    shape-derived prediction, and fitted log-log exponents.
+    Counts operations, not time, so the same arguments give the same dict:
+    per-size counts, the exact-match flag against the shape-derived
+    prediction, and the fitted log-log exponent of the additions.
     """
     if not sizes:
         raise ValueError("at least one size is required")
@@ -267,9 +267,7 @@ def bench_eval(
         fseed = master.randrange(2**32)
         formula = random_kcnf(nv, m, width, fseed)
         assignment = tuple(master.random() < 0.5 for _ in range(nv))
-        t0 = time.perf_counter_ns()
         result = fold_eval(formula, assignment)
-        wall = time.perf_counter_ns() - t0
         rows.append(
             {
                 "clauses": m,
@@ -277,7 +275,6 @@ def bench_eval(
                 "table_calls": result.ops.table_calls,
                 "negations": result.ops.negations,
                 "matches_prediction": result.ops == predicted_ops(formula),
-                "wall_ns": wall,
             }
         )
     return {
@@ -288,9 +285,6 @@ def bench_eval(
         "rows": rows,
         "additions_exponent": fit_exponent(
             [r["clauses"] for r in rows], [r["additions"] for r in rows]
-        ),
-        "wall_exponent": fit_exponent(
-            [r["clauses"] for r in rows], [r["wall_ns"] for r in rows]
         ),
     }
 
@@ -309,13 +303,16 @@ def gen_corpus(
     Exactly one of ``num_clauses`` (fixed size) or ``ratios`` (clause count
     round(ratio * num_vars) per ratio, ``count`` instances each) must be
     given.  The same arguments always produce byte-identical files; two
-    ratios that would share a file name raise ValueError before any write.
+    ratios that would share a file name, and a ratio that is not finite and
+    positive, raise ValueError before any write.
     """
     if (num_clauses is None) == (ratios is None):
         raise ValueError("exactly one of num_clauses or ratios is required")
     if count < 1:
         raise ValueError("count must be >= 1")
     if ratios is not None:
+        if not all(0 < ratio < math.inf for ratio in ratios):
+            raise ValueError(f"ratios must be finite and > 0, got {list(ratios)}")
         plan = [
             (f"k{width}_n{num_vars}_r{ratio:g}_i{i:03d}.cnf",
              max(1, round(ratio * num_vars)))

@@ -62,14 +62,13 @@ class PipelineResult:
     """``rounded`` is present exactly for sat claims.  ``lp`` is the solution
     whose point was rounded (or the infeasible one).  ``steps`` counts
     constraint rows built, simplex pivots, and one rounding step per
-    variable.  ``verified`` is filled in by the harness, never here."""
+    variable."""
 
     claimed_status: str
     rounded: tuple[bool, ...] | None
     lp: simplex.LpSolution
     anomalies: tuple[RoundAnomaly, ...]
     steps: int
-    verified: bool | None = None
 
 
 def round_assignment(

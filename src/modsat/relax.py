@@ -15,10 +15,8 @@ width; affine mode bounds each clause by its own width.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .cnf import Formula, require_uniform
-from .simplex import FEASIBLE, LinearConstraint, LpSystem, solve
+from .simplex import LinearConstraint, LpSystem
 
 FAITHFUL = "faithful"
 AFFINE = "affine"
@@ -69,27 +67,3 @@ def build_relaxation(
         for var in range(formula.num_vars):
             constraints.append(LinearConstraint({var: 1}, 1))
     return LpSystem(formula.num_vars, tuple(constraints))
-
-
-def max_clause_decomposition(
-    formula: Formula, system: LpSystem, *, exact: bool = True
-) -> list:
-    """LP maximum of each clause's literal-value sum under the system.
-
-    Relies on constraint i of ``system`` being clause i's row, as
-    build_relaxation guarantees.  Returns one value per clause, or None for
-    a clause whose sum is unbounded.
-    """
-    if len(system.constraints) < formula.num_clauses:
-        raise ValueError("system has fewer constraints than clauses")
-    maxima = []
-    for i, con in enumerate(system.constraints[: formula.num_clauses]):
-        objective = [0] * system.num_vars
-        for var, coeff in con.coefficients.items():
-            objective[var] = coeff
-        sol = solve(replace(system, objective=tuple(objective)), exact=exact)
-        if sol.status == FEASIBLE:
-            maxima.append(sol.objective_value + con.offset)
-        else:
-            maxima.append(None)
-    return maxima

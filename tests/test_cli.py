@@ -211,6 +211,15 @@ def test_bench_json(capsys):
     assert all(r["matches_prediction"] for r in data["rows"])
 
 
+def test_bench_is_deterministic(capsys):
+    argv = ["bench", "--width", "3", "--sizes", "100,200", "--seed", "9"]
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_out_flag_writes_file(simple_file, tmp_path, capsys):
     target = tmp_path / "verdict.json"
     assert main(["oracle", simple_file, "--out", str(target)]) == 0

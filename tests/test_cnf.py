@@ -12,8 +12,6 @@ from modsat.cnf import (
     Formula,
     Literal,
     clause_of,
-    decode_assignment,
-    encode_assignment,
     evaluate,
     parse_dimacs,
     random_kcnf,
@@ -174,26 +172,6 @@ def test_evaluate_rejects_wrong_length():
     f = Formula(2, (clause_of(1, 2),))
     with pytest.raises(ValueError):
         evaluate(f, (True,))
-
-
-def test_encode_decode_conventions():
-    assert encode_assignment((True, False)) == (0, 1)
-    assert encode_assignment((True, False), "one-true") == (1, 0)
-    assert decode_assignment((0, 1)) == (True, False)
-    assert decode_assignment((0, 1), "one-true") == (False, True)
-    with pytest.raises(ValueError):
-        encode_assignment((True,), "other")
-    with pytest.raises(ValueError):
-        decode_assignment((2,))
-
-
-@given(f=formulas(max_vars=5))
-def test_encode_decode_round_trip(f):
-    values = tuple(i % 2 == 0 for i in range(f.num_vars))
-    for convention in ("zero-true", "one-true"):
-        codes = encode_assignment(values, convention)
-        assert set(codes) <= {0, 1}
-        assert decode_assignment(codes, convention) == values
 
 
 def test_random_kcnf_shape_and_determinism():

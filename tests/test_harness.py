@@ -192,6 +192,10 @@ def test_bench_eval_rows_and_exponent():
         bench_eval(3, [], seed=9)
 
 
+def test_bench_eval_is_deterministic():
+    assert bench_eval(3, [100, 200], seed=9) == bench_eval(3, [100, 200], seed=9)
+
+
 def test_gen_corpus_deterministic_bytes(tmp_path):
     a = gen_corpus(tmp_path / "a", num_vars=8, width=3, count=3, seed=4, num_clauses=12)
     b = gen_corpus(tmp_path / "b", num_vars=8, width=3, count=3, seed=4, num_clauses=12)
@@ -235,6 +239,14 @@ def test_gen_corpus_refuses_colliding_names(tmp_path, ratios):
     out = tmp_path / "corpus"
     with pytest.raises(ValueError, match="the same name"):
         gen_corpus(out, num_vars=8, width=3, count=2, seed=1, ratios=ratios)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ratios", [[-5, 0], [math.nan], [3, math.inf]])
+def test_gen_corpus_refuses_bad_ratios(tmp_path, ratios):
+    out = tmp_path / "corpus"
+    with pytest.raises(ValueError, match="finite and > 0"):
+        gen_corpus(out, num_vars=8, width=3, count=1, seed=1, ratios=ratios)
     assert not out.exists()
 
 

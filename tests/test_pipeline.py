@@ -12,7 +12,6 @@ from modsat.pipeline import (
     SAT_CLAIM,
     UNSAT_CLAIM,
     PipelineConfig,
-    PipelineResult,
     RoundAnomaly,
     round_assignment,
     run,
@@ -64,7 +63,6 @@ def test_faithful_pipeline_claims_sat_at_origin():
     assert result.rounded == (True, True, True)
     assert result.anomalies == ()
     assert evaluate(f, result.rounded) is True  # all-positive: genuinely sound
-    assert result.verified is None
 
 
 def test_contradiction_yields_unsound_sat_claim():
@@ -161,8 +159,3 @@ def test_unsat_claim_unreachable_for_valid_input(f):
         result = run(f, config)
         assert result.claimed_status == SAT_CLAIM
         assert result.claimed_status != UNSAT_CLAIM
-
-
-def test_result_shape():
-    result = PipelineResult(SAT_CLAIM, (True,), None, (), 3)
-    assert result.verified is None

@@ -1,4 +1,4 @@
-"""Relaxation construction and per-clause LP maxima."""
+"""Relaxation construction."""
 
 from fractions import Fraction
 
@@ -13,7 +13,6 @@ from modsat.relax import (
     BOUND_K_MINUS_1,
     FAITHFUL,
     build_relaxation,
-    max_clause_decomposition,
 )
 from modsat.simplex import FEASIBLE, LinearConstraint, max_violation, solve
 
@@ -117,32 +116,3 @@ def test_half_vector_always_feasible_in_affine_mode(f):
         system = build_relaxation(f, AFFINE, bound_mode)
         half = tuple(Fraction(1, 2) for _ in range(f.num_vars))
         assert max_violation(system, half) <= 0
-
-
-def test_max_clause_decomposition_faithful_hits_bound():
-    f = Formula(3, (clause_of(1, 2), clause_of(2, 3)))
-    system = build_relaxation(f, FAITHFUL, BOUND_K)
-    assert max_clause_decomposition(f, system) == [2, 2]
-
-
-def test_max_clause_decomposition_affine_example():
-    # Single clause (not x1 or x2), bound k-1: max of (1 - X0) + X1 is 1,
-    # reached only where the row is tight.
-    f = Formula(2, (clause_of(-1, 2),))
-    system = build_relaxation(f, AFFINE, BOUND_K_MINUS_1)
-    assert max_clause_decomposition(f, system) == [1]
-
-
-def test_max_clause_decomposition_contradiction():
-    f = Formula(
-        2,
-        (clause_of(1, 2), clause_of(1, -2), clause_of(-1, 2), clause_of(-1, -2)),
-    )
-    system = build_relaxation(f, AFFINE, BOUND_K_MINUS_1)
-    assert max_clause_decomposition(f, system) == [1, 1, 1, 1]
-
-
-def test_max_clause_decomposition_validates_length():
-    f = Formula(2, (clause_of(1, 2),))
-    with pytest.raises(ValueError):
-        max_clause_decomposition(f, build_relaxation(Formula(2, ()), FAITHFUL))
