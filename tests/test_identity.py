@@ -1,18 +1,23 @@
-"""Byte identity of generated DIMACS text and of canonical diff reports.
+"""Byte identity of generated DIMACS text, of canonical diff reports and of
+simplex solutions.
 
-The digests were taken before clauses became tuples of signed DIMACS codes.
-A change to the formula representation, the generator, the parser, the
-pipeline or the report format that alters a single byte fails here.
+The DIMACS and diff digests were taken before clauses became tuples of
+signed DIMACS codes, the simplex digests before the tableau dropped its
+artificial columns.  A change to the formula representation, the generator,
+the parser, the pipeline, the simplex or the report format that alters a
+single byte fails here.
 """
 
 import hashlib
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from modsat import harness, pipeline, relax
 from modsat.cnf import random_kcnf, write_dimacs
+from modsat.simplex import LinearConstraint, LpSystem, solve
 
 
 def _sha256(text: str) -> str:
@@ -44,6 +49,46 @@ def diff_reports(corpus_dir, negation, bound, objective) -> tuple[str, str]:
     )
     report = harness.diff_run(corpus, config)
     return report.to_canonical_json(), report.to_csv()
+
+
+def simplex_systems() -> list[LpSystem]:
+    """Seeded LP systems in three sets: the benchmark's lp-pivot systems
+    (affine k-1 max-sum on n=5 3-CNF), every pipeline configuration on
+    formulas of width 1-3, and general systems with negative and fractional
+    bounds, equality pairs and objectives of either sign.  Together they
+    reach infeasible, unbounded and phase-1 pivoting outcomes, including
+    zero-level artificials driven out of the basis."""
+    rng = random.Random(20261019)
+    systems = []
+    lp_pivot = pipeline.PipelineConfig(
+        relax.AFFINE, relax.BOUND_K_MINUS_1, 2, pipeline.OBJECTIVE_MAX_SUM
+    )
+    for _ in range(30):
+        formula = random_kcnf(5, 21, 3, rng.randrange(2**32))
+        systems.append(pipeline.build_system(formula, lp_pivot))
+    for _ in range(16):
+        width = rng.choice((1, 2, 3))
+        num_vars = rng.randint(width, 6)
+        num_clauses = rng.randint(1, 5 * num_vars)
+        formula = random_kcnf(num_vars, num_clauses, width, rng.randrange(2**32))
+        for negation, bound, objective in CONFIGS:
+            config = pipeline.PipelineConfig(negation, bound, 2, objective)
+            systems.append(pipeline.build_system(formula, config))
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        cons = []
+        for _ in range(rng.randint(1, 5)):
+            coeffs = {v: rng.randint(-3, 3) for v in range(n)}
+            bound = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+            cons.append(LinearConstraint(coeffs, bound))
+            if rng.random() < 0.3:
+                negated = {v: -c for v, c in coeffs.items()}
+                cons.append(LinearConstraint(negated, -bound))
+        objective = None
+        if rng.random() >= 0.25:
+            objective = tuple(rng.randint(-3, 3) for _ in range(n))
+        systems.append(LpSystem(n, tuple(cons), objective))
+    return systems
 
 
 GENERATED_DIMACS_SHA256 = (
@@ -95,6 +140,13 @@ DIFF_SHA256 = {
 }
 
 
+# newline-joined repr of every solve result, by arithmetic
+SIMPLEX_SHA256 = {
+    "exact": "ea2333477fad40cc370d60e66bdce908eebff412371200591dbef35c36587a77",
+    "float": "3c7a145e2527abf068f5f75a1f078647de0eb97d9426fe69a71c3cd706ca705f",
+}
+
+
 def test_generated_dimacs_is_byte_identical():
     assert _sha256(generated_dimacs()) == GENERATED_DIMACS_SHA256
 
@@ -105,3 +157,9 @@ def test_diff_reports_are_byte_identical(tmp_path, negation, bound, objective):
     assert (_sha256(report_json), _sha256(report_csv)) == DIFF_SHA256[
         (negation, bound, objective)
     ]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_simplex_outputs_are_pinned(exact):
+    text = "\n".join(repr(solve(s, exact=exact)) for s in simplex_systems())
+    assert _sha256(text) == SIMPLEX_SHA256["exact" if exact else "float"]
