@@ -302,9 +302,10 @@ def gen_corpus(
 
     Exactly one of ``num_clauses`` (fixed size) or ``ratios`` (clause count
     round(ratio * num_vars) per ratio, ``count`` instances each) must be
-    given.  The same arguments always produce byte-identical files; two
-    ratios that would share a file name, and a ratio that is not finite and
-    positive, raise ValueError before any write.
+    given.  The same arguments always produce byte-identical files.  Every
+    formula is drawn before the directory is made, so arguments the
+    generator refuses, two ratios that would share a file name and a ratio
+    that is not finite and positive raise ValueError before any write.
     """
     if (num_clauses is None) == (ratios is None):
         raise ValueError("exactly one of num_clauses or ratios is required")
@@ -326,13 +327,14 @@ def gen_corpus(
         ]
     if len(dict(plan)) != len(plan):
         raise ValueError(f"ratios {list(ratios)} give two files the same name")
+    master = random.Random(seed)
+    formulas = [
+        random_kcnf(num_vars, m, width, master.randrange(2**32)) for _, m in plan
+    ]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    master = random.Random(seed)
     paths = []
-    for name, m in plan:
-        fseed = master.randrange(2**32)
-        formula = random_kcnf(num_vars, m, width, fseed)
+    for (name, _), formula in zip(plan, formulas):
         path = out / name
         path.write_text(write_dimacs(formula), encoding="utf-8")
         paths.append(path)

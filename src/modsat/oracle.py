@@ -51,14 +51,12 @@ def _clause_masks(formula: Formula) -> list[tuple[int, int]]:
     return masks
 
 
-def brute_force_sat(
-    formula: Formula, max_vars: int = BRUTE_FORCE_MAX_VARS
-) -> OracleVerdict:
+def brute_force_sat(formula: Formula) -> OracleVerdict:
     """Try all 2**n assignments in a fixed ascending order."""
     n = formula.num_vars
-    if n > max_vars:
+    if n > BRUTE_FORCE_MAX_VARS:
         raise BudgetExceededError(
-            f"{n} variables exceed the brute force cap of {max_vars}"
+            f"{n} variables exceed the brute force cap of {BRUTE_FORCE_MAX_VARS}"
         )
     pos_neg = _clause_masks(formula)
     full = (1 << n) - 1

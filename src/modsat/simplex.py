@@ -5,8 +5,8 @@ Arithmetic is exact (fractions.Fraction) by default; float mode uses a 1e-9
 tolerance.  Pivot selection follows Bland's rule (lowest eligible index for
 entering, lowest basis index on ratio ties), which rules out cycling.  Rows
 with a negative right-hand side get an artificial variable; phase 1 drives
-the artificial sum to zero or certifies infeasibility by its positive
-optimum.
+the artificial sum to zero or reports its positive minimum, the phase-1
+infeasibility value.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ class LpSolution:
     """Solver outcome.
 
     ``point`` is present exactly when status is feasible.  For an infeasible
-    system ``infeasibility`` holds the positive phase-1 artificial optimum,
-    the certificate that no feasible point exists.
+    system ``infeasibility`` holds the phase-1 infeasibility value: the
+    positive minimum of the artificial sum.
     """
 
     status: str
@@ -102,10 +102,13 @@ def max_violation(system: LpSystem, point: Sequence) -> Fraction | float:
 
 
 class _Tableau:
-    """Mutable simplex tableau shared by both phases."""
+    """Mutable simplex tableau shared by both phases: per row the structural
+    columns, one slack per row and the right-hand side at index ``rhs``.  A
+    negative-bound row is negated and made basic in an artificial variable,
+    which never enters and so has no column, only the basis label nx + m + k
+    of the k-th such row (for phase 1's cost and Bland's ratio tie-break)."""
 
     def __init__(self, system: LpSystem, exact: bool):
-        self.exact = exact
         self.conv = Fraction if exact else float
         self.zero = self.conv(0)
         self.tol = Fraction(0) if exact else FLOAT_TOL
@@ -113,43 +116,30 @@ class _Tableau:
         nx = system.num_vars
         m = len(system.constraints)
         self.nx = nx
-        self.nslack = m
+        self.rhs = nx + m  # index of the right-hand-side column
+        self.nart = 0
         self.pivots = 0
         conv, zero = self.conv, self.zero
         one = conv(1)
-
-        rows = []
-        art_rows = set()
+        self.rows: list[list] = []
+        self.basis: list[int] = []
         for i, con in enumerate(system.constraints):
             coeffs = [zero] * nx
             for var, c in con.coefficients.items():
                 coeffs[var] = conv(c)
             b = conv(con.bound)
+            # Negating before padding leaves the float pad zeros positive.
             if b < zero:
                 coeffs = [-c for c in coeffs]
                 b = -b
                 slack = -one
-                art_rows.add(i)
+                self.basis.append(self.rhs + self.nart)
+                self.nart += 1
             else:
                 slack = one
-            rows.append((coeffs, slack, b))
-
-        self.nart = len(art_rows)
-        ncols = nx + m + self.nart
-        self.rhs = ncols  # index of the right-hand-side column
-        self.rows: list[list] = []
-        self.basis: list[int] = []
-        art_seen = 0
-        for i, (coeffs, slack, b) in enumerate(rows):
-            row = coeffs + [zero] * (m + self.nart) + [b]
-            row[nx + i] = slack
-            if i in art_rows:
-                art_col = nx + m + art_seen
-                art_seen += 1
-                row[art_col] = one
-                self.basis.append(art_col)
-            else:
                 self.basis.append(nx + i)
+            row = coeffs + [zero] * m + [b]
+            row[nx + i] = slack
             self.rows.append(row)
 
     def _pivot(self, r: int, c: int) -> None:
@@ -179,13 +169,12 @@ class _Tableau:
             zrow[j] -= costs[j]
         self.zrow = zrow
 
-    def _iterate(self, enter_limit: int) -> str:
-        """Run pivots until optimal or unbounded.  Entering columns are
-        restricted to indices below enter_limit (used to bar artificials)."""
+    def _iterate(self) -> str:
+        """Run pivots until optimal or unbounded."""
         tol = self.tol
         while True:
             enter = -1
-            for j in range(enter_limit):
+            for j in range(self.rhs):
                 if self.zrow[j] < -tol:
                     enter = j
                     break
@@ -209,51 +198,41 @@ class _Tableau:
             self._pivot(leave, enter)
 
     def phase_one(self) -> Fraction | float | None:
-        """Minimize the artificial sum.  Returns the positive infeasibility
-        certificate, or None when a basic feasible solution was reached."""
+        """Minimize the artificial sum.  Returns the phase-1 infeasibility
+        value when positive, else None with a basic feasible solution."""
         if self.nart == 0:
             return None
-        width = self.rhs + 1
-        costs = [self.zero] * width
-        mone = -self.conv(1)
-        for j in range(self.nx + self.nslack, self.rhs):
-            costs[j] = mone
-        self._build_zrow(costs)
-        self._iterate(self.nx + self.nslack)
+        self._build_zrow([self.zero] * self.rhs + [-self.conv(1)] * self.nart)
+        self._iterate()
         value = self.zrow[self.rhs]  # max of -(artificial sum), always <= 0
         if value < -self.tol:
             return -value
-        # Drive any zero-level artificial out of the basis; a row with no
-        # usable pivot column is redundant and dropped afterwards.
-        art_floor = self.nx + self.nslack
-        redundant = set()
+        # Drive any zero-level artificial out of the basis.  [A | +-I] has
+        # full row rank, so exact rows always have a pivot column; a float
+        # row whose entries all fall within FLOAT_TOL has none and is dropped.
+        dropped = set()
         for i in range(len(self.basis)):
-            if self.basis[i] < art_floor:
+            if self.basis[i] < self.rhs:
                 continue
             pivot_col = -1
-            for j in range(art_floor):
+            for j in range(self.rhs):
                 if abs(self.rows[i][j]) > self.tol:
                     pivot_col = j
                     break
             if pivot_col >= 0:
                 self._pivot(i, pivot_col)
             else:
-                redundant.add(i)
-        self.rows = [r for i, r in enumerate(self.rows) if i not in redundant]
-        self.basis = [b for i, b in enumerate(self.basis) if i not in redundant]
-        # Drop artificial columns for phase 2.
-        self.rows = [row[:art_floor] + [row[self.rhs]] for row in self.rows]
-        self.rhs = art_floor
-        self.nart = 0
-        self.zrow = None
+                dropped.add(i)
+        self.rows = [r for i, r in enumerate(self.rows) if i not in dropped]
+        self.basis = [b for i, b in enumerate(self.basis) if i not in dropped]
         return None
 
     def phase_two(self, objective: Sequence) -> str:
-        costs = [self.zero] * (self.rhs + 1)
+        costs = [self.zero] * self.rhs
         for j, c in enumerate(objective):
             costs[j] = self.conv(c)
         self._build_zrow(costs)
-        return self._iterate(self.rhs)
+        return self._iterate()
 
     def point(self) -> tuple:
         xs = [self.zero] * self.nx
@@ -271,10 +250,10 @@ def solve(system: LpSystem, *, exact: bool = True) -> LpSolution:
     unboundedness.  ``pivot_steps`` counts every pivot across both phases.
     """
     tab = _Tableau(system, exact)
-    certificate = tab.phase_one()
-    if certificate is not None:
+    infeasibility = tab.phase_one()
+    if infeasibility is not None:
         return LpSolution(
-            INFEASIBLE, None, None, tab.pivots, infeasibility=certificate
+            INFEASIBLE, None, None, tab.pivots, infeasibility=infeasibility
         )
     if system.objective is None:
         return LpSolution(FEASIBLE, tab.point(), None, tab.pivots)

@@ -242,6 +242,18 @@ def test_gen_corpus_refuses_colliding_names(tmp_path, ratios):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("num_vars,num_clauses", [(2, 5), (8, -1)])
+def test_gen_corpus_refused_arguments_leave_no_directory(
+    tmp_path, num_vars, num_clauses
+):
+    # Width 3 over 2 variables, and a negative clause count, are refused
+    # by the generator; the output directory must not be left behind.
+    out = tmp_path / "a" / "b"
+    with pytest.raises(ValueError):
+        gen_corpus(out, num_vars, 3, count=1, seed=0, num_clauses=num_clauses)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("ratios", [[-5, 0], [math.nan], [3, math.inf]])
 def test_gen_corpus_refuses_bad_ratios(tmp_path, ratios):
     out = tmp_path / "corpus"

@@ -58,9 +58,7 @@ def test_brute_force_empty_formula():
 def test_brute_force_respects_cap():
     with pytest.raises(BudgetExceededError):
         brute_force_sat(Formula(27, (clause_of(1, 2),)))
-    brute_force_sat(Formula(5, (clause_of(1),)), max_vars=5)
-    with pytest.raises(BudgetExceededError):
-        brute_force_sat(Formula(5, (clause_of(1),)), max_vars=4)
+    assert brute_force_sat(Formula(26, (clause_of(1),))).status == SAT
 
 
 def test_dpll_unit_propagation_alone():
