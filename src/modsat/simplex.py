@@ -121,16 +121,16 @@ class _Tableau:
         self.pivots = 0
         conv, zero = self.conv, self.zero
         one = conv(1)
-        self.rows: list[list] = []
+        self.rows = [[zero] * (self.rhs + 1) for _ in range(m)]
         self.basis: list[int] = []
-        for i, con in enumerate(system.constraints):
-            coeffs = [zero] * nx
+        for i, (con, row) in enumerate(zip(system.constraints, self.rows)):
             for var, c in con.coefficients.items():
-                coeffs[var] = conv(c)
+                row[var] = conv(c)
             b = conv(con.bound)
-            # Negating before padding leaves the float pad zeros positive.
             if b < zero:
-                coeffs = [-c for c in coeffs]
+                # Only the structural columns: the float zeros there turn
+                # to -0.0, the rest of the row keeps +0.0.
+                row[:nx] = [-c for c in row[:nx]]
                 b = -b
                 slack = -one
                 self.basis.append(self.rhs + self.nart)
@@ -138,9 +138,8 @@ class _Tableau:
             else:
                 slack = one
                 self.basis.append(nx + i)
-            row = coeffs + [zero] * m + [b]
             row[nx + i] = slack
-            self.rows.append(row)
+            row[self.rhs] = b
 
     def _pivot(self, r: int, c: int) -> None:
         piv = self.rows[r][c]
