@@ -1,25 +1,35 @@
 """Linear programs over nonnegative variables with <= constraints, solved by
 a two-phase tableau simplex.
 
-Arithmetic is exact (fractions.Fraction) by default; float mode uses a 1e-9
-tolerance.  Pivot selection follows Bland's rule (lowest eligible index for
-entering, lowest basis index on ratio ties), which rules out cycling.  Rows
-with a negative right-hand side get an artificial variable; phase 1 drives
-the artificial sum to zero or reports its positive minimum, the phase-1
-infeasibility value.
+Arithmetic is exact by default: Python ints over one common denominator, the
+basis determinant, with fraction-free pivots (Edmonds 1967; Bareiss 1968)
+whose divisions are all exact.  Float mode uses a 1e-9 tolerance.  Pivot
+selection follows Bland's rule (lowest eligible index for entering, lowest
+basis index on ratio ties), which rules out cycling.  Rows with a negative
+right-hand side get an artificial variable; phase 1 drives the artificial
+sum to zero or reports its positive minimum, the phase-1 infeasibility
+value.  A solve that needs more than PIVOT_BUDGET pivots raises
+BudgetExceededError.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
+
+from .errors import BudgetExceededError
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 FLOAT_TOL = 1e-9
+
+# Far above any count seen: 99 (affine k-1 max-sum, n=20), 136 (faithful max-sum, n=30).
+PIVOT_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -101,99 +111,134 @@ def max_violation(system: LpSystem, point: Sequence) -> Fraction | float:
     return worst
 
 
+def _integer_scaling(values: Iterable) -> tuple[int, Callable]:
+    """The lcm L of the denominators of ``values`` and the map v -> v * L,
+    exact on them and int-valued (plain int() when L is 1)."""
+    scale = math.lcm(*(Fraction(v).denominator for v in values if type(v) is not int))
+    return scale, int if scale == 1 else lambda v: int(Fraction(v) * scale)
+
+
 class _Tableau:
     """Mutable simplex tableau shared by both phases: per row the structural
     columns, one slack per row and the right-hand side at index ``rhs``.  A
     negative-bound row is negated and made basic in an artificial variable,
     which never enters and so has no column, only the basis label nx + m + k
-    of the k-th such row (for phase 1's cost and Bland's ratio tie-break)."""
+    of the k-th such row (for phase 1's cost and Bland's ratio tie-break).
+    Rows are built with the first objective row, so a feasibility-only solve
+    with no negative bound, whose answer is the origin, never builds them.
+
+    Exact entries are ints, the true entry ``row[j] / d``, from data scaled
+    by the lcm ``scale`` of their denominators (the objective by its own):
+    one positive factor scales every slack, artificial and reduced cost, so
+    no pivot choice changes.  Float entries are true values, with d = 1."""
 
     def __init__(self, system: LpSystem, exact: bool):
-        self.conv = Fraction if exact else float
-        self.zero = self.conv(0)
-        self.tol = Fraction(0) if exact else FLOAT_TOL
+        self.exact = exact
+        self.zero, self.one = (0, 1) if exact else (0.0, 1.0)
+        self.tol = 0 if exact else FLOAT_TOL
+        self.scaling = _integer_scaling if exact else lambda values: (1, float)
+        self.d = 1
         self.zrow: list | None = None
-        nx = system.num_vars
-        m = len(system.constraints)
-        self.nx = nx
-        self.rhs = nx + m  # index of the right-hand-side column
-        self.nart = 0
-        self.pivots = 0
-        conv, zero = self.conv, self.zero
-        one = conv(1)
-        self.rows = [[zero] * (self.rhs + 1) for _ in range(m)]
+        self.rows: list[list] = []
+        self.cons = cons = system.constraints
+        self.nx, self.rhs = system.num_vars, system.num_vars + len(cons)
+        self.nart = self.pivots = 0
+        data = [con.bound for con in cons], *[con.coefficients.values() for con in cons]
+        self.scale, self.conv = self.scaling(itertools.chain(*data))
+        self.bounds = [self.conv(con.bound) for con in cons]
         self.basis: list[int] = []
-        for i, (con, row) in enumerate(zip(system.constraints, self.rows)):
-            for var, c in con.coefficients.items():
-                row[var] = conv(c)
-            b = conv(con.bound)
-            if b < zero:
-                # Only the structural columns: the float zeros there turn
-                # to -0.0, the rest of the row keeps +0.0.
-                row[:nx] = [-c for c in row[:nx]]
-                b = -b
-                slack = -one
+        for i, b in enumerate(self.bounds):
+            if b < self.zero:
                 self.basis.append(self.rhs + self.nart)
                 self.nart += 1
             else:
-                slack = one
-                self.basis.append(nx + i)
+                self.basis.append(self.nx + i)
+
+    def _build_rows(self) -> None:
+        nx, zero, conv = self.nx, self.zero, self.conv
+        for i, (con, b) in enumerate(zip(self.cons, self.bounds)):
+            row = [zero] * (self.rhs + 1)
+            for var, c in con.coefficients.items():
+                row[var] = conv(c)
+            slack = self.one
+            if b < zero:
+                # Only the structural columns: their float zeros turn to -0.0.
+                row[:nx] = [-c for c in row[:nx]]
+                b, slack = -b, -slack
             row[nx + i] = slack
             row[self.rhs] = b
+            self.rows.append(row)
+
+    def _value(self, x, scale: int = 1):
+        """The true value of a tableau entry, undoing the exact scaling."""
+        return Fraction(x, self.d * scale) if self.exact else x
 
     def _pivot(self, r: int, c: int) -> None:
-        piv = self.rows[r][c]
-        self.rows[r] = [x / piv for x in self.rows[r]]
+        if self.pivots >= PIVOT_BUDGET:
+            raise BudgetExceededError(f"simplex needs more than {PIVOT_BUDGET} pivots")
         prow = self.rows[r]
-        for i, row in enumerate(self.rows):
-            if i != r and row[c] != 0:
+        p = prow[c]
+        if self.exact:
+            if p < 0:  # only in drive-out; keeps d > 0
+                prow, p = [-y for y in prow], -p
+            d, self.d = self.d, p
+
+            def update(row):
                 f = row[c]
-                self.rows[i] = [x - f * p for x, p in zip(row, prow)]
-        if self.zrow is not None and self.zrow[c] != 0:
-            f = self.zrow[c]
-            self.zrow = [x - f * p for x, p in zip(self.zrow, prow)]
+                if f == 0:  # the same value, rescaled from d to p
+                    return row if p == d else [p * x // d for x in row]
+                return [(p * x - f * y) // d for x, y in zip(row, prow)]
+
+        else:
+            prow = [x / p for x in prow]
+
+            def update(row):
+                f = row[c]
+                return row if f == 0 else [x - f * y for x, y in zip(row, prow)]
+
+        self.rows = [prow if i == r else update(row) for i, row in enumerate(self.rows)]
+        self.zrow = update(self.zrow)
         self.basis[r] = c
         self.pivots += 1
 
     def _build_zrow(self, costs: list) -> None:
         """zrow[j] = sum over basic rows of cost(basic) * row[j], minus cost(j)."""
-        width = self.rhs + 1
-        zrow = [self.zero] * width
+        if self.zrow is None:
+            self._build_rows()
+        zrow = [self.zero] * (self.rhs + 1)
         for i, bcol in enumerate(self.basis):
             cb = costs[bcol]
             if cb != 0:
-                row = self.rows[i]
-                zrow = [z + cb * x for z, x in zip(zrow, row)]
+                zrow = [z + cb * x for z, x in zip(zrow, self.rows[i])]
         for j in range(self.rhs):
-            zrow[j] -= costs[j]
+            zrow[j] -= costs[j] * self.d
         self.zrow = zrow
 
-    def _iterate(self) -> str:
-        """Run pivots until optimal or unbounded."""
-        tol = self.tol
+    def _iterate(self) -> bool:
+        """Run pivots until optimal (True) or unbounded (False)."""
+        tol, basis = self.tol, self.basis
         while True:
-            enter = -1
-            for j in range(self.rhs):
-                if self.zrow[j] < -tol:
-                    enter = j
-                    break
+            zrow = self.zrow
+            enter = next((j for j in range(self.rhs) if zrow[j] < -tol), -1)
             if enter < 0:
-                return "optimal"
+                return True
             leave = -1
-            best = None
             for i, row in enumerate(self.rows):
                 a = row[enter]
                 if a > tol:
-                    ratio = row[self.rhs] / a
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and self.basis[i] < self.basis[leave])
-                    ):
-                        best = ratio
-                        leave = i
+                    if leave >= 0:
+                        # Bland's ratio test: row[rhs] / a against the best
+                        # so far; exact ratios cross-multiply, as a > 0.
+                        b, best = row[-1], self.rows[leave]
+                        if self.exact:
+                            lhs, rhs = b * best[enter], best[-1] * a
+                        else:
+                            lhs, rhs = b / a, best[-1] / best[enter]
+                        if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                            continue
+                    leave = i
             if leave < 0:
-                return "unbounded"
+                return False
             self._pivot(leave, enter)
 
     def phase_one(self) -> Fraction | float | None:
@@ -201,43 +246,38 @@ class _Tableau:
         value when positive, else None with a basic feasible solution."""
         if self.nart == 0:
             return None
-        self._build_zrow([self.zero] * self.rhs + [-self.conv(1)] * self.nart)
+        self._build_zrow([self.zero] * self.rhs + [-self.one] * self.nart)
         self._iterate()
         value = self.zrow[self.rhs]  # max of -(artificial sum), always <= 0
         if value < -self.tol:
-            return -value
+            return self._value(-value, self.scale)
         # Drive any zero-level artificial out of the basis.  [A | +-I] has
         # full row rank, so exact rows always have a pivot column; a float
         # row whose entries all fall within FLOAT_TOL has none and is dropped.
-        dropped = set()
         for i in range(len(self.basis)):
-            if self.basis[i] < self.rhs:
-                continue
-            pivot_col = -1
-            for j in range(self.rhs):
-                if abs(self.rows[i][j]) > self.tol:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                self._pivot(i, pivot_col)
-            else:
-                dropped.add(i)
-        self.rows = [r for i, r in enumerate(self.rows) if i not in dropped]
-        self.basis = [b for i, b in enumerate(self.basis) if i not in dropped]
+            if self.basis[i] >= self.rhs:
+                row = self.rows[i]  # each pivot replaces self.rows
+                col = next((j for j in range(self.rhs) if abs(row[j]) > self.tol), -1)
+                if col >= 0:
+                    self._pivot(i, col)
+        kept = [i for i, bcol in enumerate(self.basis) if bcol < self.rhs]
+        self.rows = [self.rows[i] for i in kept]
+        self.basis = [self.basis[i] for i in kept]
         return None
 
-    def phase_two(self, objective: Sequence) -> str:
-        costs = [self.zero] * self.rhs
-        for j, c in enumerate(objective):
-            costs[j] = self.conv(c)
-        self._build_zrow(costs)
-        return self._iterate()
+    def phase_two(self, objective: Sequence) -> Fraction | float | None:
+        """Maximize ``objective``: its optimal value, or None if unbounded."""
+        cost_scale, conv = self.scaling(objective)
+        self._build_zrow([conv(c) for c in objective] + [self.zero] * len(self.cons))
+        if self._iterate():
+            return self._value(self.zrow[self.rhs], cost_scale)
+        return None
 
     def point(self) -> tuple:
-        xs = [self.zero] * self.nx
+        xs = [self._value(self.zero)] * self.nx
         for i, bcol in enumerate(self.basis):
             if bcol < self.nx:
-                xs[bcol] = self.rows[i][self.rhs]
+                xs[bcol] = self._value(self.rows[i][self.rhs])
         return tuple(xs)
 
 
@@ -251,13 +291,10 @@ def solve(system: LpSystem, *, exact: bool = True) -> LpSolution:
     tab = _Tableau(system, exact)
     infeasibility = tab.phase_one()
     if infeasibility is not None:
-        return LpSolution(
-            INFEASIBLE, None, None, tab.pivots, infeasibility=infeasibility
-        )
+        return LpSolution(INFEASIBLE, None, None, tab.pivots, infeasibility)
     if system.objective is None:
         return LpSolution(FEASIBLE, tab.point(), None, tab.pivots)
-    outcome = tab.phase_two(system.objective)
-    if outcome == "unbounded":
+    value = tab.phase_two(system.objective)
+    if value is None:
         return LpSolution(UNBOUNDED, None, None, tab.pivots)
-    value = tab.zrow[tab.rhs]
     return LpSolution(FEASIBLE, tab.point(), value, tab.pivots)

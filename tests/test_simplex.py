@@ -7,6 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+from modsat import harness, pipeline, relax, simplex
+from modsat.cli import main
+from modsat.cnf import Formula, clause_of, write_dimacs
+from modsat.errors import BudgetExceededError
 from modsat.simplex import (
     FEASIBLE,
     INFEASIBLE,
@@ -136,6 +140,87 @@ def test_beale_cycling_example_terminates():
     assert sol.status == FEASIBLE
     assert sol.objective_value == F(1, 20)
     assert sol.point == (F(1, 25), 0, 1, 0)
+
+
+def test_fraction_data_values_are_in_the_systems_own_units():
+    # x <= 1/3 and x >= 1/2: the artificial sum bottoms out at 1/2 - 1/3,
+    # although the tableau scales the constraint data by 6.
+    system = LpSystem(
+        1, (LinearConstraint({0: 1}, F(1, 3)), LinearConstraint({0: -1}, F(-1, 2)))
+    )
+    sol = solve(system)
+    assert sol.status == INFEASIBLE
+    assert sol.infeasibility == F(1, 6)
+    assert abs(solve(system, exact=False).infeasibility - 1 / 6) < 1e-9
+    # max 3/4 x0 + 1/6 x1 s.t. x0 + 2 x1 <= 5/2 and x0 / 3 <= 1/2: the vertex
+    # (3/2, 1/2) gives 29/24, against 9/8 at (3/2, 0) and 5/24 at (0, 5/4).
+    # The objective is scaled by 12, the constraints by 6.
+    system = LpSystem(
+        2,
+        (
+            LinearConstraint({0: 1, 1: 2}, F(5, 2)),
+            LinearConstraint({0: F(1, 3)}, F(1, 2)),
+        ),
+        objective=(F(3, 4), F(1, 6)),
+    )
+    sol = solve(system)
+    assert sol.status == FEASIBLE
+    assert sol.point == (F(3, 2), F(1, 2))
+    assert sol.objective_value == F(29, 24)
+
+
+def test_drive_out_on_a_negative_pivot_entry(monkeypatch):
+    # One of the seeded general systems of tests/test_identity.py: the
+    # equality x1 - x2 = 2 leaves a zero-level artificial in the basis after
+    # phase 1, and the first nonzero entry of its row, where drive-out
+    # pivots, is negative.
+    system = LpSystem(
+        3,
+        (LinearConstraint({1: -1, 2: 1}, -2), LinearConstraint({1: 1, 2: -1}, 2)),
+        objective=(-2, -3, -3),
+    )
+    entries = []
+    pivot = simplex._Tableau._pivot
+
+    def spy(tab, r, c):
+        entries.append(tab.rows[r][c])
+        pivot(tab, r, c)
+
+    monkeypatch.setattr(simplex._Tableau, "_pivot", spy)
+    sol = solve(system)
+    assert min(entries) < 0
+    assert sol == LpSolution(FEASIBLE, (0, 2, 0), -6, 3)
+
+
+def test_pivot_budget(monkeypatch, tmp_path, capsys):
+    affine = pipeline.PipelineConfig(
+        relax.AFFINE, relax.BOUND_K_MINUS_1, 2, pipeline.OBJECTIVE_NONE
+    )
+    contradiction = harness.contradiction_2cnf()  # 3 pivots under affine k-1
+    system = pipeline.build_system(contradiction, affine)
+    monkeypatch.setattr(simplex, "PIVOT_BUDGET", 3)
+    assert solve(system).pivot_steps == 3
+    monkeypatch.setattr(simplex, "PIVOT_BUDGET", 2)
+    with pytest.raises(BudgetExceededError):
+        solve(system)
+
+    no_pivots = Formula(3, (clause_of(1, 2), clause_of(2, 3)))
+    report = harness.diff_run(
+        [("contradiction", contradiction), ("no-pivots", no_pivots)], affine
+    )
+    over, under = report.records
+    assert over.category == harness.ERROR_CATEGORY
+    assert over.error.startswith("BudgetExceededError:")
+    assert under.category != harness.ERROR_CATEGORY
+    assert under.lp_pivots == 0
+
+    path = tmp_path / "contra.cnf"
+    path.write_text(write_dimacs(contradiction), encoding="utf-8")
+    assert main(["lp", str(path), "--negation", "affine", "--bound", "k-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: simplex needs more than 2 pivots")
 
 
 def test_float_mode_matches_exact_on_fixed_example():
