@@ -2,6 +2,7 @@
 the reference evaluator on every verdict and witness."""
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -145,6 +146,42 @@ def test_dpll_outputs_are_pinned(num_vars, num_clauses, count, sat, nodes, diges
     assert sum(status == SAT for status, _, _ in rows) == sat
     assert sum(n for _, _, n in rows) == nodes
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
+def _mixed_formula(seed):
+    """Up to 18 used and 2 unused variables; each clause samples distinct
+    codes, so it may hold v and -v together; widths 1 to 9, or none."""
+    rng = random.Random(seed)
+    n = rng.randrange(19)
+    top = rng.randint(1, min(9, 2 * n)) if n else 0
+    low = rng.randint(1, min(top, 4)) if n else 0
+    codes = [code for v in range(1, n + 1) for code in (v, -v)]
+    clauses = tuple(
+        clause_of(*rng.sample(codes, rng.randint(low, top)))
+        for _ in range(rng.randrange(n << low | 1))
+    )
+    return Formula(n + rng.randrange(3), clauses)
+
+
+def test_dpll_outputs_on_mixed_formulas_are_pinned():
+    # Widths 1 to 9 (one to four bits of a clause's literal count),
+    # tautologies, unit clauses, unused variables and empty formulas, as
+    # the clause-list DPLL answered them; sha256 of repr() of the rows.
+    rows = []
+    for seed in range(2000):
+        v = dpll_sat(_mixed_formula(seed))
+        rows.append((v.status, v.witness, v.nodes_explored))
+    assert sum(status == SAT for status, _, _ in rows) == 1686
+    assert sum(n for _, _, n in rows) == 7477
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "886bc75edba4b06a3fb0d87a0194cf986da735829397046e32c21c2a18bb2893"
+    )
+
+
+def test_dpll_w_oracle_node_count():
+    # The n=80 instance the oracle's speed is quoted on.
+    verdict = dpll_sat(random_kcnf(80, 341, 3, seed=5))
+    assert verdict == OracleVerdict(UNSAT, None, 8891)
 
 
 def test_verdict_shape():
