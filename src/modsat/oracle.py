@@ -1,13 +1,30 @@
 """Exact satisfiability oracles: exhaustive enumeration and DPLL.
 
-Both are deterministic and see a clause as (pos, neg) bitmasks of its
-variables, bit i-1 for variable i.  Brute force walks assignments as
-ascending integers and returns the first witness.  DPLL sets unit and pure
-literals in batches of mask operations to a fixpoint, then branches on the
-lowest-numbered variable still occurring, false first.  A node keeps the
-mask of variables set true (a set variable leaves its clauses; the witness
-reads the rest as false) and lives on an explicit stack, so depth is bounded
-only by the node budget.  A blown budget raises; it is never a verdict.
+Brute force sees a clause as (pos, neg) bitmasks of its variables, bit i-1
+for variable i, walks assignments as ascending integers and returns the
+first witness.
+
+DPLL holds the clause set by clause index.  Set up once per formula,
+occ[code] is the bitmask of the clauses holding a literal, and each
+clause's count of free literals is bit-sliced across the clauses, one int
+per bit of the widest clause.  A node is a few ints: the live (not yet
+satisfied) clauses, the count slices, the variables assigned, those set
+true (the witness reads the rest as false) and the batch of literals to
+set next.  Setting a literal clears its clauses from the live mask with
+one AND and subtracts one from the count of each live clause holding its
+negation with one borrow chain over the slices; a live clause counting 0
+is a conflict, one counting 1 a unit.  One pass over the free variables
+then finds which literals still occur in live clauses and which are units.
+
+The rules are those of Davis, Logemann and Loveland: set all units in one
+batch (opposite units or an emptied clause is a conflict), then all pure
+literals, to a fixpoint; then branch on the lowest-numbered variable still
+occurring, false first.  A round's pure literals join the next round's
+units: a pure literal falsifies no live clause and is the unit of any unit
+clause it satisfies, so the batch reaches the state of setting them first.
+Nodes are immutable and live on an explicit stack, so there is no undo and
+depth is bounded only by the node budget.  A blown budget raises; it is
+never a verdict.
 """
 
 from __future__ import annotations
@@ -38,7 +55,8 @@ def verify(formula: Formula, assignment: Sequence[bool]) -> bool:
 
 
 def _clause_masks(formula: Formula) -> list[tuple[int, int]]:
-    """Each clause as (pos, neg) bitmasks of its positive and negated variables."""
+    """Each clause as (pos, neg) bitmasks of its positive and negated variables,
+    for brute force."""
     masks = []
     for clause in formula.clauses:
         pos = neg = 0
@@ -70,85 +88,88 @@ def brute_force_sat(formula: Formula) -> OracleVerdict:
     return OracleVerdict(UNSAT, None, tried)
 
 
-def _assign(clauses: list[tuple[int, int]], up: int, un: int):
-    """Set the variables of ``up`` true and of ``un`` false: drop satisfied
-    clauses, strip false literals.  Returns the clauses left, the ORs of their
-    pos and of their neg masks and the variables of their positive and of
-    their negative units; None when a clause loses every literal."""
-    reduced = []
-    pos = neg = unit_p = unit_n = 0
-    for c in clauses:
-        p, n = c
-        if p & up or n & un:
-            continue
-        if p & un or n & up:
-            p &= ~un
-            n &= ~up
-            c = (p, n)
-        # A unit has exactly one literal; a tautology sets a bit in both.
-        if not n:
-            if not p:
-                return None
-            if not p & (p - 1):
-                unit_p |= p
-        elif not p and not n & (n - 1):
-            unit_n |= n
-        pos |= p
-        neg |= n
-        reduced.append(c)
-    return reduced, pos, neg, unit_p, unit_n
-
-
-def _propagate(clauses, pos: int, neg: int, true: int, up: int, un: int):
-    """Unit propagation and pure-literal elimination to a fixpoint.
-
-    Takes a node: clauses, the ORs of their masks, the variables set true and
-    the first unit batch.  A round sets its units, then every pure literal;
-    the unit clauses left open the next.  Returns (clauses, pos, neg, true),
-    or None on a conflict.
-    """
-    while True:
-        if up & un:
-            return None  # opposite units
-        units = up | un
-        if units:
-            true |= up
-            reduced = _assign(clauses, up, un)
-            if reduced is None:
-                return None
-            clauses, pos, neg, up, un = reduced
-        pure_p = pos & ~neg
-        pure_n = neg & ~pos
-        if pure_p | pure_n:
-            true |= pure_p
-            clauses, pos, neg, up, un = _assign(clauses, pure_p, pure_n)
-        elif not units:
-            return clauses, pos, neg, true
-
-
 def dpll_sat(
     formula: Formula, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> OracleVerdict:
     """DPLL search.  Raises BudgetExceededError when the node budget runs out."""
-    # The root opens with its own units, every other node with its branch.
-    clauses, pos, neg, up, un = _assign(_clause_masks(formula), 0, 0)
-    stack = [(clauses, pos, neg, 0, up, un)]
+    n = formula.num_vars
+    # occ[code]: the clauses holding literal code (negative codes index from
+    # the end).  Bit j of a clause's count of free literals is its bit in
+    # counts[j].  The clauses of one literal are the root's units.
+    occ = [0] * (2 * n + 1)
+    counts = [0] * max(map(len, formula.clauses), default=1).bit_length()
+    up = un = 0
+    for i, clause in enumerate(formula.clauses):
+        bit = 1 << i
+        for code in clause:
+            occ[code] |= bit
+        for j in range(len(counts)):
+            if len(clause) >> j & 1:
+                counts[j] |= bit
+        if len(clause) == 1:
+            if clause[0] > 0:
+                up |= 1 << clause[0] - 1
+            else:
+                un |= 1 << -clause[0] - 1
+    variables = [(1 << v - 1, occ[v], occ[-v]) for v in range(1, n + 1)]
+    stack = [((1 << len(formula.clauses)) - 1, counts, 0, 0, up, un)]
     nodes = 0
     while stack:
-        node = stack.pop()
+        alive, counts, assigned, true, up, un = stack.pop()
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(
                 f"DPLL node budget of {node_budget} exceeded"
             )
-        result = _propagate(*node)
-        if result is None:
-            continue
-        clauses, pos, neg, true = result
-        if not clauses:
-            witness = tuple(bool(true >> i & 1) for i in range(formula.num_vars))
-            return OracleVerdict(SAT, witness, nodes)
-        bit = (pos | neg) & -(pos | neg)  # lowest remaining variable
-        stack.append((clauses, pos, neg, true, bit, 0))  # true branch
-        stack.append((clauses, pos, neg, true, 0, bit))  # false branch, searched first
+        while not up & un:  # opposite units are a conflict
+            assigned |= up | un
+            true |= up
+            falsified = []
+            for batch, sign in ((up, 1), (un, -1)):
+                while batch:
+                    low = batch & -batch
+                    batch ^= low
+                    code = sign * low.bit_length()
+                    alive &= ~occ[code]
+                    falsified.append(occ[-code])
+            counts = counts[:]
+            for borrow in falsified:
+                borrow &= alive
+                j = 0
+                while borrow:  # subtract one from the count of each clause
+                    bits = counts[j]
+                    counts[j] = bits ^ borrow
+                    borrow &= ~bits
+                    j += 1
+            high = 0
+            for bits in counts[1:]:
+                high |= bits
+            if alive & ~(counts[0] | high):
+                break  # a clause lost every literal
+            unit = alive & counts[0] & ~high
+            pos = neg = up = un = 0
+            for bit, p, q in variables:
+                if assigned & bit:
+                    continue
+                if p & alive:
+                    pos |= bit
+                    if p & unit:
+                        up |= bit
+                if q & alive:
+                    neg |= bit
+                    if q & unit:
+                        un |= bit
+            pure_p = pos & ~neg
+            pure_n = neg & ~pos
+            if pure_p | pure_n:
+                up |= pure_p
+                un |= pure_n
+            elif not up | un:
+                if not alive:
+                    witness = tuple(bool(true >> i & 1) for i in range(n))
+                    return OracleVerdict(SAT, witness, nodes)
+                bit = (pos | neg) & -(pos | neg)  # lowest remaining variable
+                stack.append((alive, counts, assigned, true, bit, 0))
+                stack.append((alive, counts, assigned, true, 0, bit))
+                break  # the false branch is searched first
     return OracleVerdict(UNSAT, None, nodes)
