@@ -236,6 +236,10 @@ def cmd_oracle(args) -> int:
             verdict = oracle.brute_force_sat(formula)
         else:
             verdict = oracle.dpll_sat(formula, node_budget=args.budget)
+    except BudgetExceededError as exc:
+        data = {"status": "budget_exceeded", "detail": str(exc)}
+    else:
+        oracle.check_witness(formula, verdict, args.method)
         data = {
             "status": verdict.status,
             "witness": (
@@ -245,8 +249,6 @@ def cmd_oracle(args) -> int:
             ),
             "nodes_explored": verdict.nodes_explored,
         }
-    except BudgetExceededError as exc:
-        data = {"status": "budget_exceeded", "detail": str(exc)}
     _print_json(data, args.out)
     return 0
 

@@ -18,6 +18,12 @@ class BudgetExceededError(RuntimeError):
     """Raised when an enumeration or search exceeds its configured budget."""
 
 
+class CertificateError(RuntimeError):
+    """Raised when a verdict's certificate fails a check made by code other
+    than the code that produced it, for example a sat witness that does not
+    satisfy its formula."""
+
+
 class UnsupportedFormulaError(ValueError):
     """Raised when a formula falls outside what an operation supports,
     for example mixed clause widths where a uniform width is required."""

@@ -197,6 +197,7 @@ def _run_one(
             verified = oracle.verify(formula, result.rounded)
         try:
             verdict = oracle.dpll_sat(formula, node_budget=oracle_budget)
+            oracle.check_witness(formula, verdict, "dpll")
             oracle_status = verdict.status
             oracle_nodes = verdict.nodes_explored
         except BudgetExceededError:

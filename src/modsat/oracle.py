@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cnf import Formula, evaluate
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, CertificateError
 
 BRUTE_FORCE_MAX_VARS = 26
 DEFAULT_NODE_BUDGET = 10**7
@@ -52,6 +52,15 @@ class OracleVerdict:
 def verify(formula: Formula, assignment: Sequence[bool]) -> bool:
     """True when the assignment satisfies the formula (standard semantics)."""
     return evaluate(formula, assignment)
+
+
+def check_witness(formula: Formula, verdict: OracleVerdict, method: str) -> None:
+    """Raise CertificateError when a sat verdict's witness fails ``verify``;
+    ``method`` names the oracle that gave the verdict."""
+    if verdict.status == SAT and not verify(formula, verdict.witness):
+        raise CertificateError(
+            f"{method} oracle gave a sat witness that does not satisfy the formula"
+        )
 
 
 def _clause_masks(formula: Formula) -> list[tuple[int, int]]:

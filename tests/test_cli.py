@@ -147,6 +147,27 @@ def test_oracle_dpll_and_brute(contra_file, simple_file, capsys):
     assert data["nodes_explored"] == 2
 
 
+@pytest.mark.parametrize("method, target", [
+    ("dpll", "modsat.oracle.dpll_sat"),
+    ("brute", "modsat.oracle.brute_force_sat"),
+])
+def test_oracle_failing_witness_is_one_error_line(
+    contra_file, capsys, monkeypatch, method, target
+):
+    from modsat.oracle import SAT, OracleVerdict
+
+    monkeypatch.setattr(
+        target, lambda formula, **_: OracleVerdict(SAT, (True, True), 1)
+    )
+    assert main(["oracle", contra_file, "--method", method]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {method} oracle gave a sat witness that does not satisfy "
+        "the formula\n"
+    )
+
+
 def test_oracle_budget_exit_zero(tmp_path, capsys):
     from modsat.cnf import random_kcnf, write_dimacs
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from modsat import pipeline
+from modsat import oracle, pipeline
 from modsat.cnf import Formula, clause_of, parse_dimacs, random_kcnf
 from modsat.harness import (
     BUDGET_EXCEEDED,
@@ -88,6 +88,21 @@ def test_oracle_budget_shows_up_in_record():
     assert r.oracle_nodes is None
     # sat claims classify on candidate verification, budget or not.
     assert r.category in ("sound_sat", "unsound_sat_claim")
+
+
+def test_failing_dpll_witness_is_an_error_record(monkeypatch):
+    def wrong(formula, node_budget):
+        return oracle.OracleVerdict(oracle.SAT, (False,) * formula.num_vars, 1)
+
+    monkeypatch.setattr(oracle, "dpll_sat", wrong)
+    contra, allpos = diff_run(small_corpus()[1::-1]).records
+    assert contra.category == ERROR_CATEGORY
+    assert contra.error == (
+        "CertificateError: dpll oracle gave a sat witness that does not "
+        "satisfy the formula"
+    )
+    # All false satisfies no clause of allpos either.
+    assert allpos.category == ERROR_CATEGORY
 
 
 def test_errors_are_captured_not_raised(monkeypatch):

@@ -5,7 +5,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from modsat.cnf import Formula, clause_of, evaluate, random_kcnf
 from modsat.errors import BudgetExceededError
@@ -196,6 +196,27 @@ def test_oracles_agree_on_random_formulas(f):
     assert bf.status == dp.status
     if bf.status == SAT:
         assert verify(f, bf.witness)
+        assert verify(f, dp.witness)
+
+
+@st.composite
+def formulas_with_tautologies(draw, max_vars=7, max_clauses=10):
+    """Clauses of distinct signed codes, so v and -v may share a clause."""
+    n = draw(st.integers(1, max_vars))
+    codes = [code for v in range(1, n + 1) for code in (v, -v)]
+    clause = st.lists(
+        st.sampled_from(codes), min_size=1, max_size=2 * n, unique=True
+    ).map(lambda c: clause_of(*c))
+    return Formula(n, tuple(draw(st.lists(clause, max_size=max_clauses))))
+
+
+@settings(max_examples=300)
+@given(f=formulas_with_tautologies())
+def test_oracles_agree_on_formulas_with_tautologies(f):
+    bf = brute_force_sat(f)
+    dp = dpll_sat(f)
+    assert bf.status == dp.status
+    if dp.status == SAT:
         assert verify(f, dp.witness)
 
 
