@@ -13,8 +13,9 @@ true (the witness reads the rest as false) and the batch of literals to
 set next.  Setting a literal clears its clauses from the live mask with
 one AND and subtracts one from the count of each live clause holding its
 negation with one borrow chain over the slices; a live clause counting 0
-is a conflict, one counting 1 a unit.  One pass over the free variables
-then finds which literals still occur in live clauses and which are units.
+is a conflict, one counting 1 a unit, whose one free literal is read off
+its codes.  One pass over the free variables then finds which literals
+still occur in live clauses.
 
 The rules are those of Davis, Logemann and Loveland: set all units in one
 batch (opposite units or an emptied clause is a conflict), then all pure
@@ -157,17 +158,23 @@ def dpll_sat(
                 break  # a clause lost every literal
             unit = alive & counts[0] & ~high
             pos = neg = up = un = 0
+            while unit:  # the one free literal of each unit clause
+                low = unit & -unit
+                unit ^= low
+                for code in formula.clauses[low.bit_length() - 1]:
+                    bit = 1 << abs(code) - 1
+                    if not assigned & bit:
+                        if code > 0:
+                            up |= bit
+                        else:
+                            un |= bit
+                        break
             for bit, p, q in variables:
-                if assigned & bit:
-                    continue
-                if p & alive:
-                    pos |= bit
-                    if p & unit:
-                        up |= bit
-                if q & alive:
-                    neg |= bit
-                    if q & unit:
-                        un |= bit
+                if not assigned & bit:
+                    if p & alive:
+                        pos |= bit
+                    if q & alive:
+                        neg |= bit
             pure_p = pos & ~neg
             pure_n = neg & ~pos
             if pure_p | pure_n:
