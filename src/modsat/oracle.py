@@ -186,6 +186,6 @@ def dpll_sat(
                     return OracleVerdict(SAT, witness, nodes)
                 bit = (pos | neg) & -(pos | neg)  # lowest remaining variable
                 stack.append((alive, counts, assigned, true, bit, 0))
-                stack.append((alive, counts, assigned, true, 0, bit))
-                break  # the false branch is searched first
+                stack.append((alive, counts, assigned, true, 0, bit))  # first
+                break
     return OracleVerdict(UNSAT, None, nodes)
