@@ -105,6 +105,13 @@ def test_parse_blank_lines_and_comments():
         ("p cnf 12 1\n1 -\uff12 0\n", 2, "non-integer"),
         ("p cnf \uff12 1\n", 1, "malformed header"),
         ("p cnf 2 1\n1 0\n2 0\n", 3, "more clauses"),
+        # lines breaking two rules: the first check in parse order wins
+        ("p cnf 1 1\n1 1 2 0\n", 2, "duplicate literal"),
+        ("p cnf 2 1\n1 0\n0\n", 3, "empty clause"),
+        ("p cnf 2 1\n1 0\n3 3 0\n", 3, "duplicate literal"),
+        ("p cnf 2 1\n-3 1 0\n", 2, "literal -3 exceeds"),
+        ("p cnf 2 1\n1 -0 0\n", 2, "0 inside"),
+        ("p cnf 2 1\n+1 2 0\n", 2, "non-integer"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):
@@ -112,6 +119,11 @@ def test_parse_errors_carry_line_numbers(text, line, fragment):
         parse_dimacs(text)
     assert err.value.line == line
     assert fragment in str(err.value)
+
+
+def test_parse_accepts_padded_zero_and_tautology():
+    assert parse_dimacs("p cnf 2 1\n1 2 00\n") == Formula(2, (clause_of(1, 2),))
+    assert parse_dimacs("p cnf 1 1\n1 -1 0\n") == Formula(1, (clause_of(1, -1),))
 
 
 def test_parse_errors_without_line():

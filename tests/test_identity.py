@@ -1,11 +1,12 @@
-"""Byte identity of generated DIMACS text, of canonical diff reports and of
-simplex solutions.
+"""Byte identity of generated DIMACS text, of canonical diff reports, of
+relaxation rows and of simplex solutions.
 
 The DIMACS and diff digests were taken before clauses became tuples of
 signed DIMACS codes, the simplex digests before the tableau dropped its
-artificial columns.  A change to the formula representation, the generator,
-the parser, the pipeline, the simplex or the report format that alters a
-single byte fails here.
+artificial columns, the relaxation digests before rows were built in
+canonical order.  A change to the formula representation, the generator,
+the parser, the relaxation, the pipeline, the simplex or the report format
+that alters a single byte fails here.
 """
 
 import hashlib
@@ -16,7 +17,8 @@ from fractions import Fraction
 import pytest
 
 from modsat import harness, pipeline, relax
-from modsat.cnf import random_kcnf, write_dimacs
+from modsat.cnf import Formula, clause_of, random_kcnf, write_dimacs
+from modsat.errors import UnsupportedFormulaError
 from modsat.simplex import LinearConstraint, LpSystem, solve
 
 
@@ -91,6 +93,47 @@ def simplex_systems() -> list[LpSystem]:
     return systems
 
 
+def relaxation_formulas() -> list[Formula]:
+    """Seeded formulas of widths 1-5 whose codes come in random order, with
+    tautologies (x and not x in one clause), unused variables, mixed widths,
+    and empty formulas with and without variables."""
+    rng = random.Random(20261020)
+    formulas = [Formula(0, ()), Formula(3, ())]
+    for _ in range(300):
+        num_vars = rng.randint(1, 9)
+        widths = [rng.randint(1, min(5, 2 * num_vars))]
+        if rng.random() < 0.4:
+            widths = range(1, min(5, 2 * num_vars) + 1)
+        clauses = []
+        for _ in range(rng.randint(1, 12)):
+            pool = [v for v in range(1, num_vars + 1) for v in (v, -v)]
+            if rng.random() < 0.7:  # mostly no tautology
+                pool = [v * rng.choice((1, -1)) for v in range(1, num_vars + 1)]
+            width = min(rng.choice(widths), len(pool))
+            clauses.append(clause_of(*rng.sample(pool, width)))
+        unused = rng.choice((0, 0, 1, 4))
+        formulas.append(Formula(num_vars + unused, tuple(clauses)))
+    return formulas
+
+
+def relaxation_rows(negation: str, bound: str) -> str:
+    """Newline-joined repr of each formula's relaxation, one row as
+    (coefficient items in map order, bound, offset), or of its width error."""
+    lines = []
+    for formula in relaxation_formulas():
+        try:
+            system = relax.build_relaxation(formula, negation, bound)
+        except UnsupportedFormulaError as exc:
+            lines.append(f"error {exc}")
+            continue
+        rows = tuple(
+            (tuple(con.coefficients.items()), con.bound, con.offset)
+            for con in system.constraints
+        )
+        lines.append(repr((system.num_vars, rows, system.objective)))
+    return "\n".join(lines)
+
+
 GENERATED_DIMACS_SHA256 = (
     "6dff4b534a6dff5523eaad30ad475d70d37ef7c32df7e6f59eff12c59259d1ed"
 )
@@ -147,6 +190,15 @@ SIMPLEX_SHA256 = {
 }
 
 
+# relaxation_rows per (negation mode, bound mode)
+RELAXATION_SHA256 = {
+    ("faithful", "k"): "035e019139a0a9c376d0fc06f601c7f73fcf83f517c79de45c80799655d0b4de",
+    ("faithful", "k-1"): "9f31b5ee29c614db2facdd72dba49f8a6585a48439eb71137c8f9dc2fb5af9b5",
+    ("affine", "k"): "126cfbefcce6152727e88be8766a4f30d7bace553091920f5b610df0b23019fe",
+    ("affine", "k-1"): "66fdd9cf3a5fb911f55858db289038c8b648eee9e309bc95783a062c107adfbf",
+}
+
+
 def test_generated_dimacs_is_byte_identical():
     assert _sha256(generated_dimacs()) == GENERATED_DIMACS_SHA256
 
@@ -163,3 +215,10 @@ def test_diff_reports_are_byte_identical(tmp_path, negation, bound, objective):
 def test_simplex_outputs_are_pinned(exact):
     text = "\n".join(repr(solve(s, exact=exact)) for s in simplex_systems())
     assert _sha256(text) == SIMPLEX_SHA256["exact" if exact else "float"]
+
+
+@pytest.mark.parametrize("negation,bound", list(RELAXATION_SHA256))
+def test_relaxation_rows_are_pinned(negation, bound):
+    assert _sha256(relaxation_rows(negation, bound)) == RELAXATION_SHA256[
+        (negation, bound)
+    ]
