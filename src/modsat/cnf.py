@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -60,10 +61,15 @@ class Clause(tuple):
 
 def clause_of(*codes: int) -> Clause:
     """The one constructor and the one check of a clause of signed codes."""
+    if set(map(type, codes)) - {int}:
+        raise ValueError(f"literals must be integers, got {codes!r}")
+    return _clause(codes)
+
+
+def _clause(codes: tuple[int, ...]) -> Clause:
+    """``clause_of`` for codes known to be ints: every check but the type."""
     if not codes:
         raise ValueError("empty clause: a clause needs at least one literal")
-    if set(map(type, codes)) != {int}:
-        raise ValueError(f"literals must be integers, got {codes!r}")
     if 0 in codes:
         raise ValueError("0 inside clause body: 0 terminates a clause")
     if len(set(codes)) != len(codes):
@@ -92,7 +98,10 @@ class Formula:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
-    @property
+    def __getstate__(self):  # the fields alone: pickles leave caches out
+        return {"num_vars": self.num_vars, "clauses": self.clauses}
+
+    @cached_property
     def uniform_width(self) -> int | None:
         """Common clause width, or None when empty or mixed."""
         widths = set(map(len, self.clauses))
@@ -140,9 +149,9 @@ def parse_dimacs(text: str | bytes) -> Formula:
     clauses: list[Clause] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line or line.startswith("c"):
+        if not line or line[0] == "c":
             continue
-        if line.startswith("p"):
+        if line[0] == "p":
             if num_vars is not None:
                 raise DimacsError("duplicate header", lineno)
             header = _HEADER(line)
@@ -154,15 +163,15 @@ def parse_dimacs(text: str | bytes) -> Formula:
             raise DimacsError("clause before header", lineno)
         if not _INTEGERS(line):
             raise DimacsError(f"non-integer token in {line!r}", lineno)
-        codes = list(map(int, line.split()))
-        if codes[-1] != 0:
+        *codes, end = map(int, line.split())
+        if end != 0:
             raise DimacsError("clause line must end with 0", lineno)
         try:
-            clause = clause_of(*codes[:-1])
+            clause = _clause(tuple(codes))
         except ValueError as exc:
             raise DimacsError(str(exc), lineno) from None
-        top = max(clause, key=abs)
-        if abs(top) > num_vars:
+        if max(map(abs, clause)) > num_vars:
+            top = max(clause, key=abs)
             raise DimacsError(
                 f"literal {top} exceeds declared {num_vars} variables", lineno
             )
@@ -189,10 +198,8 @@ def write_dimacs(formula: Formula) -> str:
 def evaluate(formula: Formula, assignment: Sequence[bool]) -> bool:
     """Standard CNF semantics: every clause has at least one true literal."""
     require_assignment(formula, assignment)
-    return all(
-        any(assignment[abs(code) - 1] != (code < 0) for code in clause)
-        for clause in formula.clauses
-    )
+    true = {v if value else -v for v, value in enumerate(assignment, 1)}
+    return not any(map(true.isdisjoint, formula.clauses))
 
 
 def require_assignment(formula: Formula, assignment: Sequence[bool]) -> None:
