@@ -16,7 +16,7 @@ width; affine mode bounds each clause by its own width.
 from __future__ import annotations
 
 from .cnf import Formula, require_uniform
-from .simplex import LinearConstraint, LpSystem
+from .simplex import LpSystem, canonical_row
 
 FAITHFUL = "faithful"
 AFFINE = "affine"
@@ -47,23 +47,23 @@ def build_relaxation(
     _check_modes(negation_mode, bound_mode)
     if negation_mode == FAITHFUL and formula.clauses:
         require_uniform(formula, 1)
+    affine = negation_mode == AFFINE
     constraints = []
     for clause in formula.clauses:
-        width = clause.width
-        bound = width if bound_mode == BOUND_K else width - 1
+        bound = len(clause) if bound_mode == BOUND_K else len(clause) - 1
         coeffs: dict[int, int] = {}
         offset = 0
-        for code in clause:
+        for code in sorted(clause, key=abs):
             var = abs(code) - 1
-            if negation_mode == FAITHFUL or code > 0:
-                coeffs[var] = coeffs.get(var, 0) + 1
-            else:
+            if affine and code < 0:
                 coeffs[var] = coeffs.get(var, 0) - 1
                 offset += 1
-        constraints.append(
-            LinearConstraint(coeffs, bound - offset, offset=offset)
-        )
+            else:
+                coeffs[var] = coeffs.get(var, 0) + 1
+        if len(coeffs) < len(clause):  # x and not x: an affine 0 drops out
+            coeffs = {var: c for var, c in coeffs.items() if c}
+        constraints.append(canonical_row(coeffs, bound - offset, offset))
     if negation_mode == AFFINE:
         for var in range(formula.num_vars):
-            constraints.append(LinearConstraint({var: 1}, 1))
+            constraints.append(canonical_row({var: 1}, 1))
     return LpSystem(formula.num_vars, tuple(constraints))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -32,27 +33,36 @@ FLOAT_TOL = 1e-9
 PIVOT_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(namedtuple("LinearConstraint", "coefficients bound offset")):
     """sum(coefficients[v] * X_v) <= bound, variables 0-based.
 
     ``offset`` records a constant that was folded out of the left side (used
     when complemented literals 1 - X are rewritten); the modeled quantity is
-    offset + sum(...).  An empty coefficient map is a constant row.
+    offset + sum(...).  An empty coefficient map is a constant row.  The map
+    is canonical: variables ascending, no zero coefficient.
     """
 
-    coefficients: Mapping[int, int | Fraction]
-    bound: int | Fraction
-    offset: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(
+        cls,
+        coefficients: Mapping[int, int | Fraction],
+        bound: int | Fraction,
+        offset: int = 0,
+    ):
         canon = {}
-        for var, coeff in sorted(self.coefficients.items()):
+        for var, coeff in sorted(coefficients.items()):
             if not isinstance(var, int) or var < 0:
                 raise ValueError(f"variable index must be >= 0, got {var!r}")
             if coeff != 0:
                 canon[var] = coeff
-        object.__setattr__(self, "coefficients", canon)
+        return canonical_row(canon, bound, offset)
+
+
+def canonical_row(coefficients: dict, bound, offset: int = 0) -> LinearConstraint:
+    """A LinearConstraint whose coefficient map is already canonical (int
+    variables >= 0 ascending, no zero coefficient), taken as it is."""
+    return tuple.__new__(LinearConstraint, (coefficients, bound, offset))
 
 
 @dataclass(frozen=True)
@@ -124,8 +134,9 @@ class _Tableau:
     negative-bound row is negated and made basic in an artificial variable,
     which never enters and so has no column, only the basis label nx + m + k
     of the k-th such row (for phase 1's cost and Bland's ratio tie-break).
-    Rows are built with the first objective row, so a feasibility-only solve
-    with no negative bound, whose answer is the origin, never builds them.
+    Rows, and the scaling below, are built with the first objective row, so
+    a feasibility-only solve with no negative bound, whose answer is the
+    origin, reads the sign of each bound and no coefficient.
 
     Exact entries are ints, the true entry ``row[j] / d``, from data scaled
     by the lcm ``scale`` of their denominators (the objective by its own):
@@ -143,25 +154,24 @@ class _Tableau:
         self.cons = cons = system.constraints
         self.nx, self.rhs = system.num_vars, system.num_vars + len(cons)
         self.nart = self.pivots = 0
-        data = [con.bound for con in cons], *[con.coefficients.values() for con in cons]
-        self.scale, self.conv = self.scaling(itertools.chain(*data))
-        self.bounds = [self.conv(con.bound) for con in cons]
         self.basis: list[int] = []
-        for i, b in enumerate(self.bounds):
-            if b < self.zero:
+        for i, con in enumerate(cons):  # scaling by a positive lcm keeps signs
+            if con.bound < 0:
                 self.basis.append(self.rhs + self.nart)
                 self.nart += 1
             else:
                 self.basis.append(self.nx + i)
 
     def _build_rows(self) -> None:
-        nx, zero, conv = self.nx, self.zero, self.conv
-        for i, (con, b) in enumerate(zip(self.cons, self.bounds)):
+        nx, zero, cons = self.nx, self.zero, self.cons
+        data = [con.bound for con in cons], *[con.coefficients.values() for con in cons]
+        self.scale, conv = self.scaling(itertools.chain(*data))
+        for i, con in enumerate(cons):
             row = [zero] * (self.rhs + 1)
             for var, c in con.coefficients.items():
                 row[var] = conv(c)
-            slack = self.one
-            if b < zero:
+            b, slack = conv(con.bound), self.one
+            if con.bound < 0:
                 # Only the structural columns: their float zeros turn to -0.0.
                 row[:nx] = [-c for c in row[:nx]]
                 b, slack = -b, -slack
