@@ -16,7 +16,7 @@ width; affine mode bounds each clause by its own width.
 from __future__ import annotations
 
 from .cnf import Formula, require_uniform
-from .simplex import LpSystem, canonical_row
+from .simplex import LinearConstraint, LpSystem
 
 FAITHFUL = "faithful"
 AFFINE = "affine"
@@ -62,8 +62,8 @@ def build_relaxation(
                 coeffs[var] = coeffs.get(var, 0) + 1
         if len(coeffs) < len(clause):  # x and not x: an affine 0 drops out
             coeffs = {var: c for var, c in coeffs.items() if c}
-        constraints.append(canonical_row(coeffs, bound - offset, offset))
+        constraints.append(LinearConstraint._make((coeffs, bound - offset, offset)))
     if negation_mode == AFFINE:
         for var in range(formula.num_vars):
-            constraints.append(canonical_row({var: 1}, 1))
+            constraints.append(LinearConstraint._make(({var: 1}, 1, 0)))
     return LpSystem(formula.num_vars, tuple(constraints))

@@ -38,31 +38,22 @@ class LinearConstraint(namedtuple("LinearConstraint", "coefficients bound offset
 
     ``offset`` records a constant that was folded out of the left side (used
     when complemented literals 1 - X are rewritten); the modeled quantity is
-    offset + sum(...).  An empty coefficient map is a constant row.  The map
-    is canonical: variables ascending, no zero coefficient.
+    offset + sum(...).  An empty coefficient map is a constant row.  The
+    constructor makes the map canonical (variables ascending, no zero
+    coefficient); ``LinearConstraint._make((coefficients, bound, offset))``
+    takes one that already is, as it is.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        coefficients: Mapping[int, int | Fraction],
-        bound: int | Fraction,
-        offset: int = 0,
-    ):
+    def __new__(cls, coefficients: Mapping[int, int | Fraction], bound, offset=0):
         canon = {}
         for var, coeff in sorted(coefficients.items()):
             if not isinstance(var, int) or var < 0:
                 raise ValueError(f"variable index must be >= 0, got {var!r}")
             if coeff != 0:
                 canon[var] = coeff
-        return canonical_row(canon, bound, offset)
-
-
-def canonical_row(coefficients: dict, bound, offset: int = 0) -> LinearConstraint:
-    """A LinearConstraint whose coefficient map is already canonical (int
-    variables >= 0 ascending, no zero coefficient), taken as it is."""
-    return tuple.__new__(LinearConstraint, (coefficients, bound, offset))
+        return super().__new__(cls, canon, bound, offset)
 
 
 @dataclass(frozen=True)
@@ -134,9 +125,8 @@ class _Tableau:
     negative-bound row is negated and made basic in an artificial variable,
     which never enters and so has no column, only the basis label nx + m + k
     of the k-th such row (for phase 1's cost and Bland's ratio tie-break).
-    Rows, and the scaling below, are built with the first objective row, so
-    a feasibility-only solve with no negative bound, whose answer is the
-    origin, reads the sign of each bound and no coefficient.
+    Rows and their scaling wait for the first objective row: a solve with no
+    objective and no negative bound returns the origin off the bound signs.
 
     Exact entries are ints, the true entry ``row[j] / d``, from data scaled
     by the lcm ``scale`` of their denominators (the objective by its own):
