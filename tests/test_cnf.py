@@ -135,6 +135,9 @@ def test_parse_errors_without_line():
 
 def test_formulas_survive_pickle_and_copy():
     f = parse_dimacs("p cnf 3 2\n1 -2 0\n2 3 0\n")
+    fresh = pickle.dumps(f)
+    assert f.uniform_width == 2
+    assert pickle.dumps(f) == fresh  # the cached width stays out
     for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
         assert g == f
         assert all(isinstance(c, Clause) for c in g.clauses)
