@@ -63,7 +63,7 @@ def build_relaxation(
         if len(coeffs) < len(clause):  # x and not x: an affine 0 drops out
             coeffs = {var: c for var, c in coeffs.items() if c}
         constraints.append(LinearConstraint._make((coeffs, bound - offset, offset)))
-    if negation_mode == AFFINE:
+    if affine:
         for var in range(formula.num_vars):
             constraints.append(LinearConstraint._make(({var: 1}, 1, 0)))
     return LpSystem(formula.num_vars, tuple(constraints))
