@@ -84,11 +84,11 @@ def _config_from_args(args) -> pipeline.PipelineConfig:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--negation", choices=[relax.FAITHFUL, relax.AFFINE],
+        "--negation", choices=relax.NEGATION_MODES,
         default=relax.FAITHFUL, help="treatment of negated literals",
     )
     parser.add_argument(
-        "--bound", choices=[relax.BOUND_K, relax.BOUND_K_MINUS_1],
+        "--bound", choices=relax.BOUND_MODES,
         default=relax.BOUND_K, help="per-clause bound",
     )
     parser.add_argument(

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DimacsError, UnsupportedFormulaError
 
@@ -20,43 +20,16 @@ _INTEGERS = re.compile(r"-?[0-9]+(?:\s+-?[0-9]+)*").fullmatch
 _HEADER = re.compile(r"p\s+cnf\s+([0-9]+)\s+([0-9]+)").fullmatch
 
 
-@dataclass(frozen=True)
-class Literal:
-    """A view of one signed DIMACS code; clauses store the codes themselves."""
-
-    var: int
-    negated: bool = False
-
-    def __post_init__(self):
-        if not isinstance(self.var, int) or self.var < 1:
-            raise ValueError(f"variable must be an integer >= 1, got {self.var!r}")
-
-    @classmethod
-    def from_dimacs(cls, code: int) -> "Literal":
-        return cls(abs(code), code < 0)
-
-    def to_dimacs(self) -> int:
-        return -self.var if self.negated else self.var
-
-
 class Clause(tuple):
     """A tuple of signed DIMACS codes: v for x_v and -v for not x_v."""
 
     __slots__ = ()
 
-    def __new__(cls, literals: Iterable[Literal]):
-        return clause_of(*(lit.to_dimacs() for lit in literals))
+    def __new__(cls, *args):
+        raise TypeError("build a Clause with clause_of(*codes)")
 
     def __reduce__(self):  # pickle and copy rebuild from the codes
         return clause_of, tuple(self)
-
-    @property
-    def width(self) -> int:
-        return len(self)
-
-    @property
-    def literals(self) -> tuple[Literal, ...]:
-        return tuple(map(Literal.from_dimacs, self))
 
 
 def clause_of(*codes: int) -> Clause:
@@ -83,10 +56,12 @@ class Formula:
     clauses: tuple[Clause, ...]
 
     def __post_init__(self):
-        if not isinstance(self.num_vars, int) or self.num_vars < 0:
-            raise ValueError(f"num_vars must be >= 0, got {self.num_vars!r}")
-        if not all(isinstance(c, Clause) for c in self.clauses):
-            raise TypeError("clauses must be built with clause_of")
+        if type(self.num_vars) is not int or self.num_vars < 0:
+            raise ValueError(f"num_vars must be an int >= 0, got {self.num_vars!r}")
+        if type(self.clauses) is not tuple or not all(
+            isinstance(c, Clause) for c in self.clauses
+        ):
+            raise TypeError("clauses must be a tuple of clauses built with clause_of")
         top = max(map(abs, chain.from_iterable(self.clauses)), default=0)
         if top > self.num_vars:
             raise ValueError(

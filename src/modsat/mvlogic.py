@@ -28,6 +28,15 @@ def _check_arity(n: int) -> None:
         raise ValueError(f"arity must be an integer >= 2, got {n!r}")
 
 
+def _check_indices(arity: int, indices, unit: str) -> None:
+    """``indices`` holds ``arity`` shifts in range(arity)."""
+    if len(indices) != arity:
+        raise ValueError(f"expected {arity} {unit}, got {len(indices)}")
+    for i in indices:
+        if not isinstance(i, int) or not 0 <= i < arity:
+            raise ValueError(f"index {i!r} out of range for arity {arity}")
+
+
 def _floor_checked(a) -> int:
     if isinstance(a, float) and not math.isfinite(a):
         raise ValueError(f"argument must be finite, got {a!r}")
@@ -60,13 +69,7 @@ class UnaryTable:
 
     def __post_init__(self):
         _check_arity(self.arity)
-        if len(self.indices) != self.arity:
-            raise ValueError(
-                f"expected {self.arity} indices, got {len(self.indices)}"
-            )
-        for i in self.indices:
-            if not isinstance(i, int) or not 0 <= i < self.arity:
-                raise ValueError(f"index {i!r} out of range for arity {self.arity}")
+        _check_indices(self.arity, self.indices, "indices")
 
     def apply(self, a) -> int:
         x = _floor_checked(a)
@@ -96,13 +99,7 @@ class BinaryTable:
         if len(self.indices) != self.arity:
             raise ValueError(f"expected {self.arity} rows, got {len(self.indices)}")
         for row in self.indices:
-            if len(row) != self.arity:
-                raise ValueError(f"expected {self.arity} columns, got {len(row)}")
-            for i in row:
-                if not isinstance(i, int) or not 0 <= i < self.arity:
-                    raise ValueError(
-                        f"index {i!r} out of range for arity {self.arity}"
-                    )
+            _check_indices(self.arity, row, "columns")
 
     def apply(self, a, b) -> int:
         r = _floor_checked(a)

@@ -33,15 +33,24 @@ FLOAT_TOL = 1e-9
 PIVOT_BUDGET = 100_000
 
 
+def _finite(value, what: str):
+    """``value``, unless it is a NaN or infinite float; ints and Fractions
+    are always finite (and ``math.isfinite`` overflows on huge Fractions)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return value
+
+
 class LinearConstraint(namedtuple("LinearConstraint", "coefficients bound offset")):
     """sum(coefficients[v] * X_v) <= bound, variables 0-based.
 
     ``offset`` records a constant that was folded out of the left side (used
     when complemented literals 1 - X are rewritten); the modeled quantity is
     offset + sum(...).  An empty coefficient map is a constant row.  The
-    constructor makes the map canonical (variables ascending, no zero
-    coefficient); ``LinearConstraint._make((coefficients, bound, offset))``
-    takes one that already is, as it is.
+    constructor rejects NaN and infinite data and makes the map canonical
+    (variables ascending, no zero coefficient);
+    ``LinearConstraint._make((coefficients, bound, offset))`` takes finite,
+    canonical data as it is.
     """
 
     __slots__ = ()
@@ -51,9 +60,11 @@ class LinearConstraint(namedtuple("LinearConstraint", "coefficients bound offset
         for var, coeff in sorted(coefficients.items()):
             if not isinstance(var, int) or var < 0:
                 raise ValueError(f"variable index must be >= 0, got {var!r}")
-            if coeff != 0:
+            if _finite(coeff, "coefficient") != 0:
                 canon[var] = coeff
-        return super().__new__(cls, canon, bound, offset)
+        return super().__new__(
+            cls, canon, _finite(bound, "bound"), _finite(offset, "offset")
+        )
 
 
 @dataclass(frozen=True)
@@ -65,8 +76,8 @@ class LpSystem:
     objective: tuple[int | Fraction, ...] | None = None
 
     def __post_init__(self):
-        if self.num_vars < 0:
-            raise ValueError(f"num_vars must be >= 0, got {self.num_vars}")
+        if type(self.num_vars) is not int or self.num_vars < 0:
+            raise ValueError(f"num_vars must be an int >= 0, got {self.num_vars!r}")
         for con in self.constraints:
             for var in con.coefficients:
                 if var >= self.num_vars:
@@ -78,6 +89,8 @@ class LpSystem:
             raise ValueError(
                 f"objective length {len(self.objective)} != {self.num_vars}"
             )
+        for c in self.objective or ():
+            _finite(c, "objective entry")
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 from hypothesis import HealthCheck, settings, strategies as st
 
-from modsat.cnf import Clause, Formula, Literal
+from modsat.cnf import Formula, clause_of
 
 settings.register_profile(
     "suite",
@@ -31,10 +31,8 @@ def formulas(draw, max_vars=6, max_clauses=5, width=None, min_width=1):
             st.integers(min_width, n)
         )
         chosen = draw(st.permutations(range(1, n + 1)))[:w]
-        lits = tuple(
-            Literal(v, draw(st.booleans())) for v in sorted(chosen)
-        )
-        clauses.append(Clause(lits))
+        codes = (-v if draw(st.booleans()) else v for v in sorted(chosen))
+        clauses.append(clause_of(*codes))
     return Formula(n, tuple(clauses))
 
 

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from modsat.cnf import Formula, parse_dimacs, random_kcnf, write_dimacs
+from modsat.cnf import parse_dimacs, random_kcnf, write_dimacs
 from modsat.foldeval import closed_form, fold_eval, predicted_ops
 from modsat.harness import (
     CATEGORIES,
@@ -150,8 +150,8 @@ def test_criterion_5_lp_faithfulness(transition_corpus):
         width = f.uniform_width
         for clause, con in zip(f.clauses, system.constraints):
             expected = {}
-            for lit in clause.literals:
-                expected[lit.var - 1] = expected.get(lit.var - 1, 0) + 1
+            for code in clause:
+                expected[abs(code) - 1] = expected.get(abs(code) - 1, 0) + 1
             assert con.coefficients == expected, instance_id
             assert con.bound == width
             assert con.offset == 0

@@ -10,7 +10,6 @@ from hypothesis import given
 from modsat.cnf import (
     Clause,
     Formula,
-    Literal,
     clause_of,
     evaluate,
     parse_dimacs,
@@ -33,33 +32,36 @@ def bitmask_evaluate(formula, assignment):
     for clause in formula.clauses:
         pos = 0
         neg = 0
-        for lit in clause.literals:
-            if lit.negated:
-                neg |= 1 << (lit.var - 1)
+        for code in clause:
+            if code < 0:
+                neg |= 1 << (abs(code) - 1)
             else:
-                pos |= 1 << (lit.var - 1)
+                pos |= 1 << (abs(code) - 1)
         if not (word & pos) and not ((word ^ full) & neg):
             return False
     return True
 
 
-def test_literal_validation_and_dimacs_codes():
-    assert Literal.from_dimacs(3) == Literal(3, False)
-    assert Literal.from_dimacs(-3) == Literal(3, True)
-    assert Literal(2, True).to_dimacs() == -2
-    with pytest.raises(ValueError):
-        Literal(0)
-    with pytest.raises(ValueError):
-        Literal.from_dimacs(0)
-
-
 def test_clause_validation():
     with pytest.raises(ValueError):
-        Clause(())
+        clause_of()
     with pytest.raises(ValueError):
         clause_of(1, 1)
     # Opposite polarities of one variable are two different literals.
-    assert clause_of(1, -1).width == 2
+    assert len(clause_of(1, -1)) == 2
+
+
+def test_clause_is_built_only_by_clause_of():
+    with pytest.raises(TypeError, match="clause_of"):
+        Clause((1, 2))
+    clause = clause_of(1, -2)
+    rebuilt = [
+        pickle.loads(pickle.dumps(clause, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for other in rebuilt + [copy.copy(clause), copy.deepcopy(clause)]:
+        assert type(other) is Clause
+        assert other == clause
 
 
 def test_formula_validation():
@@ -67,6 +69,12 @@ def test_formula_validation():
         Formula(-1, ())
     with pytest.raises(ValueError):
         Formula(2, (clause_of(3),))
+    with pytest.raises(ValueError):
+        Formula(True, (clause_of(1),))
+    with pytest.raises(TypeError):  # would be stored exhausted
+        Formula(2, (c for c in [clause_of(1, 2)]))
+    with pytest.raises(TypeError):  # would be unhashable and mutable
+        Formula(2, [clause_of(1, 2)])
 
 
 def test_uniform_width():
@@ -159,13 +167,13 @@ def _all_clauses_3vars():
     negatively, or not at all."""
     out = []
     for states in itertools.product((0, 1, 2), repeat=3):
-        lits = tuple(
-            Literal(v + 1, state == 2)
+        codes = tuple(
+            -(v + 1) if state == 2 else v + 1
             for v, state in enumerate(states)
             if state
         )
-        if lits:
-            out.append(Clause(lits))
+        if codes:
+            out.append(clause_of(*codes))
     return out
 
 
@@ -195,7 +203,7 @@ def test_random_kcnf_shape_and_determinism():
     assert f.num_clauses == 30
     assert f.uniform_width == 3
     for clause in f.clauses:
-        assert len({lit.var for lit in clause.literals}) == 3
+        assert len(set(map(abs, clause))) == 3
     assert f == random_kcnf(10, 30, 3, seed=7)
     assert f != random_kcnf(10, 30, 3, seed=8)
 

@@ -1,14 +1,17 @@
-"""Every name a src/modsat module imports is read in that module."""
+"""Every name a module of src/modsat or tests imports is read in that module."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "modsat"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "modsat"
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")), ids=lambda p: p.name
+)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = set()

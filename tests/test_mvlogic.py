@@ -182,14 +182,17 @@ def test_unary_enumeration_induced_maps_distinct(n):
 
 
 def test_table_validation():
-    with pytest.raises(ValueError):
-        UnaryTable(2, (0,))
-    with pytest.raises(ValueError):
-        UnaryTable(2, (0, 2))
-    with pytest.raises(ValueError):
-        BinaryTable(2, ((0, 0),))
-    with pytest.raises(ValueError):
-        BinaryTable(2, ((0, 0), (0, 5)))
+    cases = [
+        (UnaryTable, (0,), "expected 2 indices, got 1"),
+        (UnaryTable, (0, 2), "index 2 out of range for arity 2"),
+        (BinaryTable, ((0, 0),), "expected 2 rows, got 1"),
+        (BinaryTable, ((0, 0), (0,)), "expected 2 columns, got 1"),
+        (BinaryTable, ((0, 0), (0, 5)), "index 5 out of range for arity 2"),
+    ]
+    for table, indices, message in cases:
+        with pytest.raises(ValueError) as err:
+            table(2, indices)
+        assert str(err.value) == message
 
 
 def test_clause_join_table_small_widths():

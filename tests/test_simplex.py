@@ -2,6 +2,7 @@
 vertex-enumeration cross-check on small random systems."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -42,6 +43,23 @@ def test_system_validation():
         LpSystem(1, (LinearConstraint({1: 1}, 0),))
     with pytest.raises(ValueError):
         LpSystem(2, (), objective=(1,))
+    for num_vars in (2.5, True):
+        with pytest.raises(ValueError, match="num_vars"):
+            LpSystem(num_vars, ())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_lp_data_must_be_finite(bad):
+    for make in (
+        lambda: LinearConstraint({0: bad}, 1),
+        lambda: LinearConstraint({0: 1}, bad),
+        lambda: LinearConstraint({0: 1}, 1, bad),
+        lambda: LpSystem(1, (), objective=(bad,)),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+    huge = F(10**400)  # finite, though math.isfinite overflows on it
+    LpSystem(1, (LinearConstraint({0: huge}, huge, huge),), objective=(huge,))
 
 
 def test_basic_maximization():
