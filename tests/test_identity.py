@@ -93,6 +93,16 @@ def simplex_systems() -> list[LpSystem]:
     return systems
 
 
+def n20_system() -> LpSystem:
+    """The affine k-1 max-sum relaxation of the seed-7 n=20 3-CNF at ratio
+    4.27: 105 rows and 140 exact pivots, far more per solve than the
+    systems above."""
+    config = pipeline.PipelineConfig(
+        relax.AFFINE, relax.BOUND_K_MINUS_1, 2, pipeline.OBJECTIVE_MAX_SUM
+    )
+    return pipeline.build_system(random_kcnf(20, 85, 3, 7), config)
+
+
 def relaxation_formulas() -> list[Formula]:
     """Seeded formulas of widths 1-5 whose codes come in random order, with
     tautologies (x and not x in one clause), unused variables, mixed widths,
@@ -189,6 +199,10 @@ SIMPLEX_SHA256 = {
     "float": "3c7a145e2527abf068f5f75a1f078647de0eb97d9426fe69a71c3cd706ca705f",
 }
 
+# repr of the exact solve of n20_system(), taken before pivots updated only
+# the pivot row's nonzero columns
+N20_SIMPLEX_SHA256 = "019d3e14cf49b63ad98e648a08902e838b32ef743f6d455722cd01e6e001b50b"
+
 
 # relaxation_rows per (negation mode, bound mode)
 RELAXATION_SHA256 = {
@@ -215,6 +229,12 @@ def test_diff_reports_are_byte_identical(tmp_path, negation, bound, objective):
 def test_simplex_outputs_are_pinned(exact):
     text = "\n".join(repr(solve(s, exact=exact)) for s in simplex_systems())
     assert _sha256(text) == SIMPLEX_SHA256["exact" if exact else "float"]
+
+
+def test_n20_simplex_output_is_pinned():
+    sol = solve(n20_system())
+    assert sol.pivot_steps == 140
+    assert _sha256(repr(sol)) == N20_SIMPLEX_SHA256
 
 
 @pytest.mark.parametrize("negation,bound", list(RELAXATION_SHA256))

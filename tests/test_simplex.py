@@ -22,6 +22,7 @@ from modsat.simplex import (
     max_violation,
     solve,
 )
+from test_identity import n20_system, simplex_systems
 
 F = Fraction
 
@@ -46,6 +47,15 @@ def test_system_validation():
     for num_vars in (2.5, True):
         with pytest.raises(ValueError, match="num_vars"):
             LpSystem(num_vars, ())
+
+
+def test_system_constraints_must_be_a_tuple():
+    # A list could take a row on a variable the system lacks after the range
+    # check, and a generator would be used up by the first pass over it.
+    con = LinearConstraint({0: 1}, 1)
+    for constraints in ([con], (c for c in [con])):
+        with pytest.raises(TypeError, match="constraints must be a tuple"):
+            LpSystem(1, constraints)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -208,6 +218,38 @@ def test_drive_out_on_a_negative_pivot_entry(monkeypatch):
     sol = solve(system)
     assert min(entries) < 0
     assert sol == LpSolution(FEASIBLE, (0, 2, 0), -6, 3)
+
+
+def test_exact_pivot_is_d_times_a_gauss_jordan_pivot(monkeypatch):
+    # After each exact pivot, every row (the objective row last) is the new
+    # determinant times the Fraction Gauss-Jordan pivot of the previous
+    # tableau's true entries, the old rows over the old determinant d.
+    # Where f or y is 0, x - f * y is x, compared in ints to spare time.
+    cases = set()
+    pivot = simplex._Tableau._pivot
+
+    def check(tab, r, c):
+        p, d = tab.rows[r][c], tab.d
+        before = [*tab.rows, tab.zrow]
+        pivot(tab, r, c)
+        q = tab.d
+        assert q == abs(p)
+        prow = [F(y, p) for y in before[r]]  # (y / d) / (p / d)
+        for i, (old, new) in enumerate(zip(before, [*tab.rows, tab.zrow])):
+            if i == r:
+                assert new == [q * y for y in prow]
+                continue
+            f = F(old[c], d)
+            cases.add((p == d, f == 0) if p == d else "p != d")
+            for x, y, z in zip(old, prow, new, strict=True):
+                assert z == q * (F(x, d) - f * y) if f and y else z * d == q * x
+        if p < 0:
+            cases.add("negative pivot")
+
+    monkeypatch.setattr(simplex._Tableau, "_pivot", check)
+    for system in [*simplex_systems(), n20_system()]:
+        solve(system)
+    assert cases == {(True, True), (True, False), "p != d", "negative pivot"}
 
 
 def test_pivot_budget(monkeypatch, tmp_path, capsys):
