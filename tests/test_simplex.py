@@ -240,7 +240,10 @@ def test_exact_pivot_is_d_times_a_gauss_jordan_pivot(monkeypatch):
                 assert new == [q * y for y in prow]
                 continue
             f = F(old[c], d)
-            cases.add((p == d, f == 0) if p == d else "p != d")
+            if p == d:
+                cases.add("p == d, f == 0" if f == 0 else "p == d, f != 0")
+            else:
+                cases.add("p != d")
             for x, y, z in zip(old, prow, new, strict=True):
                 assert z == q * (F(x, d) - f * y) if f and y else z * d == q * x
         if p < 0:
@@ -249,7 +252,7 @@ def test_exact_pivot_is_d_times_a_gauss_jordan_pivot(monkeypatch):
     monkeypatch.setattr(simplex._Tableau, "_pivot", check)
     for system in [*simplex_systems(), n20_system()]:
         solve(system)
-    assert cases == {(True, True), (True, False), "p != d", "negative pivot"}
+    assert cases == {"p == d, f == 0", "p == d, f != 0", "p != d", "negative pivot"}
 
 
 def test_pivot_budget(monkeypatch, tmp_path, capsys):
