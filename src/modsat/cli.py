@@ -372,7 +372,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # every failure is one line, never a traceback
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .errors import DimacsError, UnsupportedFormulaError
 
-# DIMACS numbers are ASCII decimal; int() alone would also take "1_0" or "２".
+# DIMACS numbers are ASCII decimal; int() alone would also take "+1", "1_0" or "２".
 _INTEGERS = re.compile(r"-?[0-9]+(?:\s+-?[0-9]+)*").fullmatch
 _HEADER = re.compile(r"p\s+cnf\s+([0-9]+)\s+([0-9]+)").fullmatch
 
@@ -68,6 +68,13 @@ class Formula:
                 f"literal references variable {top} "
                 f"but only {self.num_vars} are declared"
             )
+
+    @classmethod
+    def _make(cls, num_vars: int, clauses: tuple[Clause, ...]) -> Formula:
+        """Formula(num_vars, clauses) unchecked, for data its producer checked."""
+        self = object.__new__(cls)
+        self.__dict__.update(num_vars=num_vars, clauses=clauses)
+        return self
 
     @property
     def num_clauses(self) -> int:
@@ -136,20 +143,24 @@ def parse_dimacs(text: str | bytes) -> Formula:
             continue
         if num_vars is None:
             raise DimacsError("clause before header", lineno)
-        if not _INTEGERS(line):
-            raise DimacsError(f"non-integer token in {line!r}", lineno)
-        *codes, end = map(int, line.split())
+        try:  # int() takes just _INTEGERS on an ASCII line with no "_" or "+"
+            if "_" in line or "+" in line or not (line.isascii() or _INTEGERS(line)):
+                raise ValueError
+            *codes, end = map(int, line.split())
+        except ValueError:
+            if _INTEGERS(line):
+                raise  # an integer too long for int()
+            raise DimacsError(f"non-integer token in {line!r}", lineno) from None
         if end != 0:
             raise DimacsError("clause line must end with 0", lineno)
         try:
             clause = _clause(tuple(codes))
         except ValueError as exc:
             raise DimacsError(str(exc), lineno) from None
-        if max(map(abs, clause)) > num_vars:
+        if max(clause) > num_vars or min(clause) < -num_vars:
             top = max(clause, key=abs)
-            raise DimacsError(
-                f"literal {top} exceeds declared {num_vars} variables", lineno
-            )
+            message = f"literal {top} exceeds declared {num_vars} variables"
+            raise DimacsError(message, lineno)
         if len(clauses) == num_clauses:
             raise DimacsError("more clauses than declared", lineno)
         clauses.append(clause)
@@ -159,7 +170,7 @@ def parse_dimacs(text: str | bytes) -> Formula:
         raise DimacsError(
             f"declared {num_clauses} clauses but found {len(clauses)}"
         )
-    return Formula(num_vars, tuple(clauses))
+    return Formula._make(num_vars, tuple(clauses))
 
 
 def write_dimacs(formula: Formula) -> str:

@@ -121,7 +121,9 @@ def dpll_sat(
                 up |= 1 << clause[0] - 1
             else:
                 un |= 1 << -clause[0] - 1
-    variables = [(1 << v - 1, occ[v], occ[-v]) for v in range(1, n + 1)]
+    variables = [  # those that occur: n masks would take n * n / 16 bytes
+        (1 << v - 1, occ[v], occ[-v]) for v in range(1, n + 1) if occ[v] | occ[-v]
+    ]
     stack = [((1 << len(formula.clauses)) - 1, counts, 0, 0, up, un)]
     nodes = 0
     while stack:

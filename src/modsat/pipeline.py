@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import relax, simplex
 from .cnf import Formula, require_uniform
-from .mvlogic import mod_shift
+from .mvlogic import _check_arity, mod_shift
 
 SAT_CLAIM = "sat_claim"
 UNSAT_CLAIM = "unsat_claim"
@@ -75,17 +75,15 @@ def round_assignment(
     point: Sequence, base: int
 ) -> tuple[tuple[bool, ...], tuple[RoundAnomaly, ...]]:
     """Round LP coordinates to booleans via floor(X) mod base."""
-    values = []
-    anomalies = []
-    for i, x in enumerate(point):
-        r = mod_shift(base, 0, x)
-        if r == 0:
-            values.append(True)
-        else:
-            if r != 1:
-                anomalies.append(RoundAnomaly(i + 1, x, r))
-            values.append(False)
-    return tuple(values), tuple(anomalies)
+    _check_arity(base)
+    mods = [  # an exact coordinate is floored in ints
+        x.numerator // x.denominator % base if type(x) is Fraction
+        else mod_shift(base, 0, x)
+        for x in point
+    ]
+    return tuple(r == 0 for r in mods), tuple(
+        RoundAnomaly(v, x, r) for v, (x, r) in enumerate(zip(point, mods), 1) if r > 1
+    )
 
 
 def build_system(formula: Formula, config: PipelineConfig) -> simplex.LpSystem:
@@ -96,7 +94,8 @@ def build_system(formula: Formula, config: PipelineConfig) -> simplex.LpSystem:
         formula, config.negation_mode, config.bound_mode
     )
     if config.objective == OBJECTIVE_MAX_SUM and formula.num_vars > 0:
-        system = replace(system, objective=(1,) * formula.num_vars)
+        objective = (1,) * formula.num_vars
+        system = simplex.LpSystem._make(system.num_vars, system.constraints, objective)
     return system
 
 

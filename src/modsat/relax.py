@@ -62,8 +62,9 @@ def build_relaxation(
                 coeffs[var] = coeffs.get(var, 0) + 1
         if len(coeffs) < len(clause):  # x and not x: an affine 0 drops out
             coeffs = {var: c for var, c in coeffs.items() if c}
-        constraints.append(LinearConstraint._make((coeffs, bound - offset, offset)))
+        row = (coeffs, bound - offset, offset)
+        constraints.append(tuple.__new__(LinearConstraint, row))
     if affine:
         for var in range(formula.num_vars):
-            constraints.append(LinearConstraint._make(({var: 1}, 1, 0)))
-    return LpSystem(formula.num_vars, tuple(constraints))
+            constraints.append(tuple.__new__(LinearConstraint, ({var: 1}, 1, 0)))
+    return LpSystem._make(formula.num_vars, tuple(constraints))

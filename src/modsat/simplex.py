@@ -50,8 +50,8 @@ class LinearConstraint(namedtuple("LinearConstraint", "coefficients bound offset
     offset + sum(...).  An empty coefficient map is a constant row.  The
     constructor rejects NaN and infinite data and makes the map canonical
     (variables ascending, no zero coefficient);
-    ``LinearConstraint._make((coefficients, bound, offset))`` takes finite,
-    canonical data as it is.
+    ``tuple.__new__(LinearConstraint, (coefficients, bound, offset))`` takes
+    finite, canonical data as it is.
     """
 
     __slots__ = ()
@@ -94,6 +94,13 @@ class LpSystem:
             )
         for c in self.objective or ():
             _finite(c, "objective entry")
+
+    @classmethod
+    def _make(cls, num_vars: int, rows: tuple, objective=None) -> LpSystem:
+        """LpSystem(num_vars, rows, objective) unchecked, for checked data."""
+        self = object.__new__(cls)
+        self.__dict__.update(num_vars=num_vars, constraints=rows, objective=objective)
+        return self
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,16 @@
 """End-to-end CLI coverage via main(argv) with captured output."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import modsat
 from modsat.cli import main
 
 
@@ -280,3 +287,39 @@ def test_unexpected_exception_is_one_error_line(simple_file, capsys, monkeypatch
     assert len(lines) == 1
     assert lines[0].startswith("error:")
     assert "Traceback" not in captured.err
+
+
+def test_exception_without_message_prints_its_type(simple_file, capsys, monkeypatch):
+    def exhausted(formula, node_budget):
+        raise MemoryError()
+
+    monkeypatch.setattr("modsat.oracle.dpll_sat", exhausted)
+    assert main(["oracle", simple_file]) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_wide_header_runs_in_bounded_memory(tmp_path):
+    # One clause over a million declared variables: a mask per declared
+    # variable once took n * n / 16 bytes in DPLL.  Under a 1 GiB address
+    # space a regression fails here fast instead of exhausting the host.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    path = write_cnf(corpus, "wide.cnf", "p cnf 1000000 1\n1 2 3 0\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(modsat.__file__).parents[1])}
+    outputs = []
+    for args in (["oracle", path], ["diff", str(corpus), "--out", str(tmp_path / "r")]):
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "modsat.cli", *args], env=env,
+            capture_output=True, text=True, preexec_fn=_limit_address_space,
+        )
+        assert done.returncode == 0, done.stderr
+        assert time.perf_counter() - start < 20
+        outputs.append(done.stdout)
+    assert json.loads(outputs[0])["status"] == "sat"
+    record, = json.loads((tmp_path / "r" / "report.json").read_text())["records"]
+    assert (record["oracle_status"], record["category"]) == ("sat", "sound_sat")

@@ -3,9 +3,11 @@
 import copy
 import itertools
 import pickle
+import re
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from modsat.cnf import (
     Clause,
@@ -134,11 +136,94 @@ def test_parse_accepts_padded_zero_and_tautology():
     assert parse_dimacs("p cnf 1 1\n1 -1 0\n") == Formula(1, (clause_of(1, -1),))
 
 
+@pytest.mark.parametrize("space", ["\xa0", "\u2003"])
+def test_parse_accepts_any_whitespace_between_tokens(space):
+    f = parse_dimacs(f"p cnf 2 1\n1{space}2 0\n")
+    assert f == Formula(2, (clause_of(1, 2),))
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int() takes any length")
+def test_parse_leaves_an_integer_too_long_for_int_to_int():
+    # The digit rule accepts it and int() refuses it, as before the rule
+    # stopped being matched on every line: int()'s error, with no line.
+    with pytest.raises(ValueError, match="digits") as err:
+        parse_dimacs("p cnf 2 1\n" + "0" * 5000 + "1 0\n")
+    assert not isinstance(err.value, DimacsError)
+
+
+# The token rule the parser once matched every clause line with.
+REFERENCE_TOKENS = re.compile(r"-?[0-9]+(?:\s+-?[0-9]+)*").fullmatch
+_TOKEN_CHARS = "0123456789-+_\uff12.a"
+_SPACES = " \t\xa0\u2003"
+
+
+@st.composite
+def clause_lines(draw):
+    """Lines over digits, "-", "+", "_", "２", ".", "a" and four kinds of
+    whitespace: free text, or tokens between whitespace runs so that many
+    lines parse."""
+    if draw(st.booleans()):
+        return draw(st.text(_TOKEN_CHARS + _SPACES, max_size=12))
+    tokens = draw(st.lists(
+        st.one_of(
+            st.sampled_from(["1", "-1", "2", "-2", "-3", "07", "10", "00", "-0"]),
+            st.text(_TOKEN_CHARS, min_size=1, max_size=3),
+        ),
+        min_size=1,
+        max_size=4,
+    ))
+    spaces = draw(st.sampled_from([" \t", _SPACES]))  # ASCII lines are common
+    seps = [draw(st.text(spaces, min_size=1, max_size=2)) for _ in tokens]
+    return "".join(map(str.__add__, seps, tokens)) + draw(st.sampled_from(["", " 0"]))
+
+
+def reference_parse(line: str, num_vars: int):
+    """The formula of one clause line after the header ``p cnf num_vars 1`` on
+    line 2, or the text and line number of its DimacsError, with tokens
+    checked by REFERENCE_TOKENS."""
+    line = line.strip()
+    if not line:
+        return "declared 1 clauses but found 0", None
+    if not REFERENCE_TOKENS(line):
+        return f"line 3: non-integer token in {line!r}", 3
+    *codes, end = map(int, line.split())
+    try:
+        if end != 0:
+            raise ValueError("clause line must end with 0")
+        clause = clause_of(*codes)
+        if max(map(abs, clause)) > num_vars:
+            top = max(clause, key=abs)
+            raise ValueError(f"literal {top} exceeds declared {num_vars} variables")
+    except ValueError as exc:
+        return f"line 3: {exc}", 3
+    return Formula(num_vars, (clause,))
+
+
+@settings(max_examples=500)
+@given(line=clause_lines())
+def test_token_check_accepts_what_the_regex_accepted(line):
+    try:
+        got = parse_dimacs(f"c tokens\np cnf 9 1\n{line}\n")
+    except DimacsError as exc:
+        got = str(exc), exc.line
+    assert got == reference_parse(line, 9)
+
+
 def test_parse_errors_without_line():
     with pytest.raises(DimacsError, match="missing header"):
         parse_dimacs("c nothing\n")
     with pytest.raises(DimacsError, match="declared 2 clauses but found 1"):
         parse_dimacs("p cnf 2 2\n1 2 0\n")
+
+
+def test_parsed_formulas_pass_the_public_checks():
+    # parse_dimacs skips Formula's checks; what it builds must pass them.
+    for seed, (num_vars, ratio, width) in enumerate(
+        itertools.product((3, 12, 40), (0, 1, 4.27), (1, 3))
+    ):
+        text = write_dimacs(random_kcnf(num_vars, int(ratio * num_vars), width, seed))
+        f = parse_dimacs(text)
+        assert Formula(f.num_vars, f.clauses) == f
 
 
 def test_formulas_survive_pickle_and_copy():

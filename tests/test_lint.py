@@ -1,4 +1,5 @@
-"""Every name a module of src/modsat or tests imports is read in that module."""
+"""Every name a module of src/modsat or tests imports is read in that module,
+and only the checked producers call the unchecked constructors."""
 
 import ast
 from pathlib import Path
@@ -22,3 +23,39 @@ def test_no_unused_imports(path):
             imported.update(a.asname or a.name for a in node.names)
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported <= read, f"unused imports: {sorted(imported - read)}"
+
+
+
+class _MakeCalls(ast.NodeVisitor):
+    """(file, enclosing function, receiver) of every ``X._make(...)`` call."""
+
+    def __init__(self, path):
+        self.path, self.scope, self.found = path, ["<module>"], set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "_make":
+            receiver = ast.unparse(node.func.value)
+            self.found.add((self.path.name, self.scope[-1], receiver))
+        self.generic_visit(node)
+
+
+def test_only_checked_producers_skip_the_constructor_checks():
+    # Formula._make and LpSystem._make skip every check: each caller checks
+    # its data itself, and no other code calls a _make.
+    calls = set()
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        visitor = _MakeCalls(path)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        calls |= visitor.found
+    assert calls == {
+        ("cnf.py", "parse_dimacs", "Formula"),
+        ("relax.py", "build_relaxation", "LpSystem"),
+        ("pipeline.py", "build_system", "simplex.LpSystem"),
+    }

@@ -1,24 +1,30 @@
 """Relax-solve-round pipeline behavior and its documented unsoundness."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
+from modsat import relax
 from modsat.cnf import Formula, clause_of, evaluate
 from modsat.errors import UnsupportedFormulaError
+from modsat.mvlogic import mod_shift
 from modsat.pipeline import (
     OBJECTIVE_MAX_SUM,
+    OBJECTIVE_NONE,
     SAT_CLAIM,
     UNSAT_CLAIM,
     PipelineConfig,
     RoundAnomaly,
+    build_system,
     round_assignment,
     run,
 )
-from modsat.simplex import FEASIBLE
+from modsat.simplex import FEASIBLE, LpSystem
 
 from conftest import formulas
+from test_identity import relaxation_formulas
 
 
 def contradiction():
@@ -53,6 +59,40 @@ def test_round_assignment_records_anomalies():
     values, anomalies = round_assignment((2.0, 0), 3)
     assert values == (False, True)
     assert anomalies == (RoundAnomaly(var=1, raw=2.0, rounded=2),)
+
+
+def test_round_assignment_floors_fractions_as_mod_shift_does():
+    point = tuple(Fraction(p, q) for p in range(-7, 8) for q in (1, 2, 3))
+    for base in (2, 3, 5):
+        rounded = [mod_shift(base, 0, x) for x in point]
+        assert round_assignment(point, base) == (
+            tuple(r == 0 for r in rounded),
+            tuple(
+                RoundAnomaly(i, x, r)
+                for i, (x, r) in enumerate(zip(point, rounded), 1)
+                if r > 1
+            ),
+        )
+    with pytest.raises(ValueError, match="arity"):
+        round_assignment((Fraction(1, 2),), 1)
+
+
+def test_built_systems_pass_the_public_checks():
+    # build_system's systems skip LpSystem's checks; they must pass them.
+    modes = itertools.product(
+        relax.NEGATION_MODES, relax.BOUND_MODES, (OBJECTIVE_NONE, OBJECTIVE_MAX_SUM)
+    )
+    built = 0
+    for (negation, bound, objective), formula in itertools.product(
+        modes, relaxation_formulas()
+    ):
+        try:
+            s = build_system(formula, PipelineConfig(negation, bound, 2, objective))
+        except UnsupportedFormulaError:
+            continue
+        assert LpSystem(s.num_vars, s.constraints, s.objective) == s
+        built += 1
+    assert built > 1000
 
 
 def test_faithful_pipeline_claims_sat_at_origin():
