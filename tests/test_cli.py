@@ -303,9 +303,9 @@ def _limit_address_space():
 
 
 def test_wide_header_runs_in_bounded_memory(tmp_path):
-    # One clause over a million declared variables: a mask per declared
-    # variable once took n * n / 16 bytes in DPLL.  Under a 1 GiB address
-    # space a regression fails here fast instead of exhausting the host.
+    # One clause over a million declared variables: a DPLL mask per declared
+    # variable would take n * n / 16 bytes.  Under a 1 GiB address space a
+    # regression fails here fast instead of exhausting the machine.
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     path = write_cnf(corpus, "wide.cnf", "p cnf 1000000 1\n1 2 3 0\n")

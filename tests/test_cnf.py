@@ -144,14 +144,15 @@ def test_parse_accepts_any_whitespace_between_tokens(space):
 
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int() takes any length")
 def test_parse_leaves_an_integer_too_long_for_int_to_int():
-    # The digit rule accepts it and int() refuses it, as before the rule
-    # stopped being matched on every line: int()'s error, with no line.
+    # The digit rule accepts the token and int() refuses it: int()'s own
+    # error comes out, with no line number.
     with pytest.raises(ValueError, match="digits") as err:
         parse_dimacs("p cnf 2 1\n" + "0" * 5000 + "1 0\n")
     assert not isinstance(err.value, DimacsError)
 
 
-# The token rule the parser once matched every clause line with.
+# The token rule as one regex over a stripped clause line: the reference for
+# parse_dimacs's token check.
 REFERENCE_TOKENS = re.compile(r"-?[0-9]+(?:\s+-?[0-9]+)*").fullmatch
 _TOKEN_CHARS = "0123456789-+_\uff12.a"
 _SPACES = " \t\xa0\u2003"
