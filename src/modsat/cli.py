@@ -28,9 +28,7 @@ from .mvlogic import (
 
 
 def _num(x):
-    if x is None or isinstance(x, (int, float)):
-        return x
-    return str(x)
+    return x if x is None or isinstance(x, int) else str(x)
 
 
 def _solution_dict(sol: simplex.LpSolution) -> dict:
@@ -56,7 +54,7 @@ def _print_json(data, out: str | None) -> None:
 
 
 def _load_formula(path: str):
-    return parse_dimacs(Path(path).read_text(encoding="utf-8"))
+    return parse_dimacs(Path(path).read_bytes())
 
 
 def _parse_assignment(text: str) -> tuple[bool, ...]:
@@ -82,7 +80,7 @@ def _config_from_args(args) -> pipeline.PipelineConfig:
     )
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, rounds: bool = True) -> None:
     parser.add_argument(
         "--negation", choices=relax.NEGATION_MODES,
         default=relax.FAITHFUL, help="treatment of negated literals",
@@ -91,10 +89,11 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         "--bound", choices=relax.BOUND_MODES,
         default=relax.BOUND_K, help="per-clause bound",
     )
-    parser.add_argument(
-        "--round-base", choices=["2", "k"], default="2",
-        help="modulus used when rounding LP coordinates",
-    )
+    if rounds:
+        parser.add_argument(
+            "--round-base", choices=["2", "k"], default="2",
+            help="modulus used when rounding LP coordinates",
+        )
     parser.add_argument(
         "--objective", choices=["none", "max-sum"], default="none",
         help="LP objective (max-sum maximizes the coordinate sum)",
@@ -171,13 +170,15 @@ def _system_text(system: simplex.LpSystem, sol: simplex.LpSolution) -> str:
     if sol.objective_value is not None:
         lines.append(f"objective_value: {sol.objective_value}")
     lines.append(f"pivot_steps: {sol.pivot_steps}")
+    if sol.infeasibility is not None:
+        lines.append(f"infeasibility: {sol.infeasibility}")
     return "\n".join(lines) + "\n"
 
 
 def cmd_lp(args) -> int:
     formula = _load_formula(args.file)
     system = pipeline.build_system(formula, _config_from_args(args))
-    sol = simplex.solve(system, exact=not args.float)
+    sol = simplex.solve(system)
     if args.format == "text":
         _emit(_system_text(system, sol), args.out)
         return 0
@@ -326,11 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lp", help="build and solve the clause relaxation")
     p.add_argument("file")
-    _add_config_flags(p)
-    p.add_argument("--float", action="store_true", help="float arithmetic")
+    _add_config_flags(p, rounds=False)
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_lp)
+    p.set_defaults(func=cmd_lp, round_base="2")  # lp never rounds
 
     p = sub.add_parser("solve", help="run the LP-and-round pipeline")
     p.add_argument("file")

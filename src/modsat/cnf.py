@@ -116,7 +116,7 @@ def require_uniform(formula: Formula, min_width: int) -> int:
 
 
 def parse_dimacs(text: str | bytes) -> Formula:
-    """Parse DIMACS CNF text into a Formula.
+    """Parse DIMACS CNF text, or UTF-8 bytes, into a Formula.
 
     Strict: one header, one zero-terminated clause per line, declared counts
     must match exactly.  Errors carry the offending line number.
@@ -139,7 +139,10 @@ def parse_dimacs(text: str | bytes) -> Formula:
             header = _HEADER(line)
             if not header:
                 raise DimacsError(f"malformed header {line!r}", lineno)
-            num_vars, num_clauses = map(int, header.groups())
+            try:
+                num_vars, num_clauses = map(int, header.groups())
+            except ValueError:  # an integer too long for int()
+                raise DimacsError("integer token too long", lineno) from None
             continue
         if num_vars is None:
             raise DimacsError("clause before header", lineno)
@@ -148,8 +151,8 @@ def parse_dimacs(text: str | bytes) -> Formula:
                 raise ValueError
             *codes, end = map(int, line.split())
         except ValueError:
-            if _INTEGERS(line):
-                raise  # an integer too long for int()
+            if _INTEGERS(line):  # an integer too long for int()
+                raise DimacsError("integer token too long", lineno) from None
             raise DimacsError(f"non-integer token in {line!r}", lineno) from None
         if end != 0:
             raise DimacsError("clause line must end with 0", lineno)

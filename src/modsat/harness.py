@@ -33,7 +33,7 @@ from .cnf import (
     require_uniform,
     write_dimacs,
 )
-from .errors import BudgetExceededError, UnsupportedFormulaError
+from .errors import BudgetExceededError, DimacsError, UnsupportedFormulaError
 from .foldeval import fold_eval, predicted_ops
 
 CATEGORIES = (
@@ -346,7 +346,10 @@ def load_corpus(corpus_dir: str | Path) -> list[tuple[str, Formula]]:
     """Parse every .cnf file in a directory, sorted by file name."""
     corpus = []
     for path in sorted(Path(corpus_dir).glob("*.cnf")):
-        corpus.append((path.name, parse_dimacs(path.read_text(encoding="utf-8"))))
+        try:
+            corpus.append((path.name, parse_dimacs(path.read_bytes())))
+        except DimacsError as exc:
+            raise DimacsError(f"file {path.name!r}: {exc}") from None
     return corpus
 
 

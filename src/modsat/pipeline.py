@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import relax, simplex
 from .cnf import Formula, require_uniform
-from .mvlogic import _check_arity, mod_shift
+from .mvlogic import _check_arity
 
 SAT_CLAIM = "sat_claim"
 UNSAT_CLAIM = "unsat_claim"
@@ -53,7 +53,7 @@ class RoundAnomaly:
     """An LP coordinate whose floor-mod landed outside {0, 1}."""
 
     var: int  # 1-based
-    raw: Fraction | float
+    raw: Fraction
     rounded: int
 
 
@@ -74,13 +74,12 @@ class PipelineResult:
 def round_assignment(
     point: Sequence, base: int
 ) -> tuple[tuple[bool, ...], tuple[RoundAnomaly, ...]]:
-    """Round LP coordinates to booleans via floor(X) mod base."""
+    """Round exact LP coordinates to booleans via floor(X) mod base."""
     _check_arity(base)
-    mods = [  # an exact coordinate is floored in ints
-        x.numerator // x.denominator % base if type(x) is Fraction
-        else mod_shift(base, 0, x)
-        for x in point
-    ]
+    try:
+        mods = [x.numerator // x.denominator % base for x in point]
+    except AttributeError:  # floats have no numerator
+        raise TypeError("LP coordinates must be ints or Fractions") from None
     return tuple(r == 0 for r in mods), tuple(
         RoundAnomaly(v, x, r) for v, (x, r) in enumerate(zip(point, mods), 1) if r > 1
     )

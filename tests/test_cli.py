@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import modsat
-from modsat.cli import main
+from modsat.cli import build_parser, main
 
 
 def write_cnf(tmp_path, name, text):
@@ -109,10 +109,23 @@ def test_lp_text_format(simple_file, capsys):
     assert "status: feasible" in out
 
 
-def test_lp_float_mode(simple_file, capsys):
-    data = run_json(capsys, ["lp", simple_file, "--float"])
-    assert data["solution"]["status"] == "feasible"
-    assert data["solution"]["point"] == [0.0, 0.0]
+def test_lp_text_reports_infeasibility(tmp_path, capsys):
+    path = write_cnf(tmp_path, "unit.cnf", "p cnf 1 2\n1 0\n-1 0\n")
+    argv = ["lp", path, "--negation", "affine", "--bound", "k-1"]
+    data = run_json(capsys, argv)
+    assert data["solution"]["infeasibility"] == "1"
+    assert main(argv + ["--format", "text"]) == 0
+    out = capsys.readouterr().out
+    assert "status: infeasible\n" in out
+    assert out.endswith("infeasibility: 1\n")
+
+
+@pytest.mark.parametrize("flag", [["--float"], ["--round-base", "2"]])
+def test_lp_has_no_float_or_round_base_flag(simple_file, flag):
+    # lp solves exactly and never rounds
+    with pytest.raises(SystemExit) as exc:
+        main(["lp", simple_file, *flag])
+    assert exc.value.code == 2
 
 
 def test_solve_faithful_contradiction(contra_file, capsys):
@@ -265,6 +278,45 @@ def test_malformed_dimacs_is_reported(tmp_path, capsys):
     assert main(["solve", path]) == 1
     err = capsys.readouterr().err
     assert "line 2" in err
+
+
+def test_non_utf8_input_is_reported(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    path = corpus / "bad.cnf"
+    path.write_bytes(b"p cnf 1 1\n1 0\nc \xff\n")
+    assert main(["oracle", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: input is not valid UTF-8: 'utf-8' codec can't decode byte 0xff"
+    )
+    assert main(["diff", str(corpus), "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: file 'bad.cnf': input is not valid UTF-8: "
+    )
+
+
+def test_diff_names_the_malformed_file(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_cnf(corpus, "a.cnf", "p cnf 2 1\n1 2 0\n")
+    write_cnf(corpus, "b.cnf", "p cnf 2 1\n1 3 0\n")
+    assert main(["diff", str(corpus), "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == (
+        "error: file 'b.cnf': line 2: literal 3 exceeds declared 2 variables\n"
+    )
+
+
+def test_readme_cli_lines_parse():
+    # Every command line in the README's CLI block names only flags that exist.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = block.split("```", 2)[1]
+    lines = [ln.split("#")[0].split() for ln in block.splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["modsat"]]
+    assert len(commands) == 8
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).func.__name__ == f"cmd_{argv[0]}"
 
 
 def test_bad_flags_exit_2(simple_file):

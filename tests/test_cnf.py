@@ -143,12 +143,17 @@ def test_parse_accepts_any_whitespace_between_tokens(space):
 
 
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int() takes any length")
-def test_parse_leaves_an_integer_too_long_for_int_to_int():
-    # The digit rule accepts the token and int() refuses it: int()'s own
-    # error comes out, with no line number.
-    with pytest.raises(ValueError, match="digits") as err:
-        parse_dimacs("p cnf 2 1\n" + "0" * 5000 + "1 0\n")
-    assert not isinstance(err.value, DimacsError)
+def test_parse_reports_an_integer_too_long_for_int_with_its_line():
+    # The digit rule accepts the token and int() refuses it for its length.
+    digits = "0" * sys.get_int_max_str_digits() + "1"
+    for text, line in [
+        (f"p cnf {digits} 1\n1 0\n", 1),
+        (f"c x\np cnf 2 1\n-{digits} 0\n", 3),
+    ]:
+        with pytest.raises(DimacsError) as err:
+            parse_dimacs(text)
+        assert str(err.value) == f"line {line}: integer token too long"
+        assert err.value.line == line
 
 
 # The token rule as one regex over a stripped clause line: the reference for

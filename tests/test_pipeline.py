@@ -56,9 +56,14 @@ def test_round_assignment_zero_is_true():
 
 
 def test_round_assignment_records_anomalies():
-    values, anomalies = round_assignment((2.0, 0), 3)
+    values, anomalies = round_assignment((2, 0), 3)
     assert values == (False, True)
     assert anomalies == (RoundAnomaly(var=1, raw=2.0, rounded=2),)
+
+
+def test_round_assignment_rejects_floats():
+    with pytest.raises(TypeError, match="ints or Fractions"):
+        round_assignment((Fraction(1, 2), 0.0), 2)
 
 
 def test_round_assignment_floors_fractions_as_mod_shift_does():
