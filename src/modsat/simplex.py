@@ -3,14 +3,13 @@ a two-phase tableau simplex.
 
 Arithmetic is exact by default: Python ints over one common denominator, the
 basis determinant, with fraction-free pivots (Edmonds 1967; Bareiss 1968)
-whose divisions are all exact.  Float mode (``exact=False``, called only by
-perfbench's lp-pivot cross-check and the tests) has a 1e-9 tolerance.  Pivot
+whose divisions are all exact.  Float mode (``exact=False``), called only by
+perfbench's lp-pivot check and the tests, has a 1e-9 tolerance.  Pivot
 selection follows Bland's rule (lowest eligible index for entering, lowest
 basis index on ratio ties), which rules out cycling.  Rows with a negative
-right-hand side get an artificial variable; phase 1 drives the artificial
-sum to zero or reports its positive minimum, the phase-1 infeasibility
-value.  A solve that needs more than PIVOT_BUDGET pivots raises
-BudgetExceededError.
+right-hand side get an artificial variable; phase 1 drives the artificial sum
+to zero or reports its positive minimum, the phase-1 infeasibility value.  A
+solve needing more than PIVOT_BUDGET pivots raises BudgetExceededError.
 """
 
 from __future__ import annotations

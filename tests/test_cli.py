@@ -120,14 +120,6 @@ def test_lp_text_reports_infeasibility(tmp_path, capsys):
     assert out.endswith("infeasibility: 1\n")
 
 
-@pytest.mark.parametrize("flag", [["--float"], ["--round-base", "2"]])
-def test_lp_has_no_float_or_round_base_flag(simple_file, flag):
-    # lp solves exactly and never rounds
-    with pytest.raises(SystemExit) as exc:
-        main(["lp", simple_file, *flag])
-    assert exc.value.code == 2
-
-
 def test_solve_faithful_contradiction(contra_file, capsys):
     data = run_json(capsys, ["solve", contra_file])
     assert data["claimed_status"] == "sat_claim"
@@ -323,6 +315,10 @@ def test_bad_flags_exit_2(simple_file):
     with pytest.raises(SystemExit) as exc:
         main(["solve", simple_file, "--negation", "bogus"])
     assert exc.value.code == 2
+    for flag in (["--float"], ["--round-base", "2"]):  # lp solves exactly, never rounds
+        with pytest.raises(SystemExit) as exc:
+            main(["lp", simple_file, *flag])
+        assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["nonsense"])
 
