@@ -283,7 +283,7 @@ def cmd_diff(args) -> int:
 
 def cmd_bench(args) -> int:
     sizes = [int(tok) for tok in args.sizes.split(",") if tok]
-    report = harness.bench_eval(args.width, sizes, args.seed, num_vars=args.vars)
+    report = harness.bench_eval(args.width, sizes, args.seed)
     _print_json(report, args.out)
     return 0
 
@@ -359,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--sizes", required=True, help="comma-separated clause counts")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--vars", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
 

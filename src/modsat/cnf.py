@@ -124,8 +124,9 @@ def parse_dimacs(text: str | bytes) -> Formula:
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DimacsError(f"input is not valid UTF-8: {exc}") from exc
+        except UnicodeDecodeError as exc:  # the bad byte, as U+FFFD, ends its line
+            line = len(text[: exc.start + 1].decode("utf-8", "replace").splitlines())
+            raise DimacsError(f"input is not valid UTF-8: {exc}", line) from exc
     num_vars = None
     num_clauses = None
     clauses: list[Clause] = []

@@ -22,12 +22,13 @@ import math
 import random
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import oracle, pipeline
 from .cnf import (
     Formula,
     clause_of,
+    evaluate,
     parse_dimacs,
     random_kcnf,
     require_uniform,
@@ -155,7 +156,7 @@ class DiffReport:
 
 
 def diff_run(
-    instances: Sequence[tuple[str, Formula]],
+    instances: Iterable[tuple[str, Formula]],
     config: pipeline.PipelineConfig = pipeline.PipelineConfig(),
     oracle_budget: int = oracle.DEFAULT_NODE_BUDGET,
 ) -> DiffReport:
@@ -164,6 +165,7 @@ def diff_run(
     Instances must have uniform clause width >= 2.  Per-instance failures
     are captured in the record's error field; the batch never aborts.
     """
+    instances = tuple(instances)
     for instance_id, formula in instances:
         try:
             require_uniform(formula, 2)
@@ -194,7 +196,7 @@ def _run_one(
         result = pipeline.run(formula, config)
         verified = None
         if result.rounded is not None:
-            verified = oracle.verify(formula, result.rounded)
+            verified = evaluate(formula, result.rounded)
         try:
             verdict = oracle.dpll_sat(formula, node_budget=oracle_budget)
             oracle.check_witness(formula, verdict, "dpll")
@@ -247,13 +249,9 @@ def fit_exponent(xs: Sequence, ys: Sequence) -> float | None:
     return sxy / sxx
 
 
-def bench_eval(
-    width: int,
-    sizes: Sequence[int],
-    seed: int,
-    num_vars: int | None = None,
-) -> dict:
-    """Count fold evaluation's operations across clause counts at fixed width.
+def bench_eval(width: int, sizes: Sequence[int], seed: int) -> dict:
+    """Count fold evaluation's operations across clause counts at fixed width,
+    over max(4 * width, 24) variables.
 
     Counts operations, not time, so the same arguments give the same dict:
     per-size counts, the exact-match flag against the shape-derived
@@ -261,7 +259,7 @@ def bench_eval(
     """
     if not sizes:
         raise ValueError("at least one size is required")
-    nv = num_vars if num_vars is not None else max(4 * width, 24)
+    nv = max(4 * width, 24)
     master = random.Random(seed)
     rows = []
     for m in sizes:
@@ -348,8 +346,9 @@ def load_corpus(corpus_dir: str | Path) -> list[tuple[str, Formula]]:
     for path in sorted(Path(corpus_dir).glob("*.cnf")):
         try:
             corpus.append((path.name, parse_dimacs(path.read_bytes())))
-        except DimacsError as exc:
-            raise DimacsError(f"file {path.name!r}: {exc}") from None
+        except DimacsError as exc:  # keeps the parser's .line
+            exc.args = (f"file {path.name!r}: {exc}",)
+            raise
     return corpus
 
 

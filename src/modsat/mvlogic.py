@@ -28,10 +28,17 @@ def _check_arity(n: int) -> None:
         raise ValueError(f"arity must be an integer >= 2, got {n!r}")
 
 
+def _check_length(arity: int, items, unit: str) -> None:
+    """``items`` is a tuple of ``arity`` entries."""
+    if type(items) is not tuple:
+        raise TypeError(f"{unit} must be a tuple, got {type(items).__name__}")
+    if len(items) != arity:
+        raise ValueError(f"expected {arity} {unit}, got {len(items)}")
+
+
 def _check_indices(arity: int, indices, unit: str) -> None:
-    """``indices`` holds ``arity`` shifts in range(arity)."""
-    if len(indices) != arity:
-        raise ValueError(f"expected {arity} {unit}, got {len(indices)}")
+    """``indices`` is a tuple of ``arity`` shifts in range(arity)."""
+    _check_length(arity, indices, unit)
     for i in indices:
         if not isinstance(i, int) or not 0 <= i < arity:
             raise ValueError(f"index {i!r} out of range for arity {arity}")
@@ -96,8 +103,7 @@ class BinaryTable:
 
     def __post_init__(self):
         _check_arity(self.arity)
-        if len(self.indices) != self.arity:
-            raise ValueError(f"expected {self.arity} rows, got {len(self.indices)}")
+        _check_length(self.arity, self.indices, "rows")
         for row in self.indices:
             _check_indices(self.arity, row, "columns")
 
@@ -118,18 +124,24 @@ class BinaryTable:
         )
 
 
-def _count_exceeds(base: int, exponent: int, budget: int) -> bool:
-    """Whether base**exponent > budget, without building the power.
+def _shift_tuples(n: int, family: str, budget: int) -> Iterator[tuple]:
+    """Every tuple of shifts for one table of ``family`` at arity ``n``, in
+    lexicographic order: n cells for "unary", n*n for "binary".
 
+    Raises BudgetExceededError when the n**cells tables exceed the budget.
     The running product stops growing once it passes the budget, so the
     check costs a few multiplications at any arity.
     """
+    _check_arity(n)
+    cells = n * n if family == "binary" else n
     total = 1
-    for _ in range(exponent):
-        total *= base
+    for _ in range(cells):
+        total *= n
         if total > budget:
-            return True
-    return False
+            raise BudgetExceededError(
+                f"{family} tables at arity {n} exceed budget {budget}"
+            )
+    return itertools.product(range(n), repeat=cells)
 
 
 def enumerate_unary(
@@ -140,12 +152,7 @@ def enumerate_unary(
     The first table yielded is the all-zero one.  Raises
     BudgetExceededError when n**n exceeds the budget.
     """
-    _check_arity(n)
-    if _count_exceeds(n, n, budget):
-        raise BudgetExceededError(
-            f"unary tables at arity {n} exceed budget {budget}"
-        )
-    for idx in itertools.product(range(n), repeat=n):
+    for idx in _shift_tuples(n, "unary", budget):
         yield UnaryTable(n, idx)
 
 
@@ -157,12 +164,7 @@ def enumerate_binary(
     Raises BudgetExceededError when the count exceeds the budget; at arity 4
     that is already 4**16 tables.
     """
-    _check_arity(n)
-    if _count_exceeds(n, n * n, budget):
-        raise BudgetExceededError(
-            f"binary tables at arity {n} exceed budget {budget}"
-        )
-    for flat in itertools.product(range(n), repeat=n * n):
+    for flat in _shift_tuples(n, "binary", budget):
         rows = tuple(flat[r * n : (r + 1) * n] for r in range(n))
         yield BinaryTable(n, rows)
 

@@ -88,6 +88,8 @@ class LpSystem:
                         f"constraint references variable {var} "
                         f"but only {self.num_vars} exist"
                     )
+        if self.objective is not None and type(self.objective) is not tuple:
+            raise TypeError("objective must be a tuple or None")
         if self.objective is not None and len(self.objective) != self.num_vars:
             raise ValueError(
                 f"objective length {len(self.objective)} != {self.num_vars}"

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from modsat.cnf import parse_dimacs, random_kcnf, write_dimacs
+from modsat.cnf import evaluate, parse_dimacs, random_kcnf, write_dimacs
 from modsat.foldeval import closed_form, fold_eval, predicted_ops
 from modsat.harness import (
     CATEGORIES,
@@ -24,7 +24,7 @@ from modsat.harness import (
     load_corpus,
 )
 from modsat.mvlogic import connective_name, enumerate_binary, enumerate_unary
-from modsat.oracle import SAT, brute_force_sat, dpll_sat, verify
+from modsat.oracle import SAT, brute_force_sat, dpll_sat
 from modsat.pipeline import PipelineConfig, run
 from modsat.relax import BOUND_K, BOUND_K_MINUS_1, FAITHFUL, build_relaxation
 from modsat.simplex import FEASIBLE, max_violation, solve
@@ -223,8 +223,8 @@ def test_criterion_8_oracle_integrity():
         dp = dpll_sat(f)
         assert bf.status == dp.status, f"instance {i}"
         if bf.status == SAT:
-            assert verify(f, bf.witness), f"instance {i}"
-            assert verify(f, dp.witness), f"instance {i}"
+            assert evaluate(f, bf.witness), f"instance {i}"
+            assert evaluate(f, dp.witness), f"instance {i}"
 
 
 @_report(9, "DIMACS round trip and byte-identical reports under fixed seeds")

@@ -279,11 +279,11 @@ def test_non_utf8_input_is_reported(tmp_path, capsys):
     path.write_bytes(b"p cnf 1 1\n1 0\nc \xff\n")
     assert main(["oracle", str(path)]) == 1
     assert capsys.readouterr().err.startswith(
-        "error: input is not valid UTF-8: 'utf-8' codec can't decode byte 0xff"
+        "error: line 3: input is not valid UTF-8: 'utf-8' codec can't decode byte 0xff"
     )
     assert main(["diff", str(corpus), "--out", str(tmp_path / "r")]) == 1
     assert capsys.readouterr().err.startswith(
-        "error: file 'bad.cnf': input is not valid UTF-8: "
+        "error: file 'bad.cnf': line 3: input is not valid UTF-8: "
     )
 
 
@@ -319,6 +319,9 @@ def test_bad_flags_exit_2(simple_file):
         with pytest.raises(SystemExit) as exc:
             main(["lp", simple_file, *flag])
         assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:  # the variable count is max(4 * width, 24)
+        main(["bench", "--width", "3", "--sizes", "10", "--vars", "30"])
+    assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["nonsense"])
 

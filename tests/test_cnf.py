@@ -156,6 +156,22 @@ def test_parse_reports_an_integer_too_long_for_int_with_its_line():
         assert err.value.line == line
 
 
+@pytest.mark.parametrize(
+    "data,line",
+    [
+        (b"\xff", 1),
+        (b"p cnf 1 1\n1 0\nc \xff\n", 3),
+        (b"p cnf 1 1\r\n1 0\r\n\xff", 3),
+        (b"c caf\xc3\xa9\np cnf 1 1\n1 0 \xe9\n", 3),
+    ],
+)
+def test_parse_names_the_line_of_a_byte_that_is_not_utf8(data, line):
+    with pytest.raises(DimacsError) as err:
+        parse_dimacs(data)
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: input is not valid UTF-8: ")
+
+
 # The token rule as one regex over a stripped clause line: the reference for
 # parse_dimacs's token check.
 REFERENCE_TOKENS = re.compile(r"-?[0-9]+(?:\s+-?[0-9]+)*").fullmatch

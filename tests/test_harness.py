@@ -6,6 +6,7 @@ import pytest
 
 from modsat import oracle, pipeline
 from modsat.cnf import Formula, clause_of, parse_dimacs, random_kcnf
+from modsat.errors import DimacsError
 from modsat.harness import (
     BUDGET_EXCEEDED,
     CATEGORIES,
@@ -54,6 +55,13 @@ def test_diff_run_produces_one_record_per_instance():
     for r in report.records:
         assert r.fold_additions is not None
         assert r.error is None
+
+
+def test_diff_run_takes_a_generator():
+    corpus = small_corpus()
+    report = diff_run(x for x in corpus)
+    assert report == diff_run(corpus)
+    assert len(report.records) == 3
 
 
 def test_diff_run_echoes_config():
@@ -202,7 +210,6 @@ def test_bench_eval_rows_and_exponent():
     assert all(r["matches_prediction"] for r in result["rows"])
     # additions = 4m - 2 at width 3: nearly linear in m.
     assert abs(result["additions_exponent"] - 1.0) < 0.01
-    assert bench_eval(3, [100, 200, 400], seed=9, num_vars=30)["num_vars"] == 30
     with pytest.raises(ValueError):
         bench_eval(3, [], seed=9)
 
@@ -284,6 +291,17 @@ def test_load_corpus_sorted(tmp_path):
     assert all(f.num_clauses == 4 for _, f in corpus)
     report = diff_run(corpus)
     assert len(report.records) == 3
+
+
+def test_load_corpus_names_the_file_and_keeps_the_line(tmp_path):
+    (tmp_path / "a.cnf").write_text("p cnf 2 1\n1 2 0\n")
+    (tmp_path / "b.cnf").write_text("p cnf 2 1\n1 3 0\n")
+    with pytest.raises(DimacsError) as err:
+        load_corpus(tmp_path)
+    assert str(err.value) == (
+        "file 'b.cnf': line 2: literal 3 exceeds declared 2 variables"
+    )
+    assert err.value.line == 2
 
 
 def test_contradiction_2cnf_is_unsat():

@@ -1,5 +1,6 @@
 """Every name a module of src/modsat or tests imports is read in that module,
-and only the checked producers call the unchecked constructors."""
+only the checked producers call the unchecked constructors, and only the
+benchmark reads the alias oracle.verify."""
 
 import ast
 from pathlib import Path
@@ -59,3 +60,30 @@ def test_only_checked_producers_skip_the_constructor_checks():
         ("relax.py", "build_relaxation", "LpSystem"),
         ("pipeline.py", "build_system", "simplex.LpSystem"),
     }
+
+
+def _verify_reads(tree, path):
+    """Each read of oracle.verify in one module, as ``file:line``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("oracle"):
+            hit = any(a.name == "verify" for a in node.names)
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr == "verify" and ast.unparse(node.value).endswith("oracle")
+        else:  # oracle.py reading its own alias
+            hit = (
+                path.name == "oracle.py"
+                and isinstance(node, ast.Name)
+                and node.id == "verify"
+                and isinstance(node.ctx, ast.Load)
+            )
+        if hit:
+            yield f"{path.name}:{node.lineno}"
+
+
+def test_only_the_benchmark_reads_oracle_verify():
+    # oracle.verify is cnf.evaluate under a second name; the package and its
+    # tests call evaluate, so deleting the alias touches only the benchmark.
+    reads = []
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        reads += _verify_reads(ast.parse(path.read_text(encoding="utf-8")), path)
+    assert reads == []

@@ -182,15 +182,19 @@ def test_unary_enumeration_induced_maps_distinct(n):
 
 
 def test_table_validation():
+    # Shifts and rows must be tuples: a list could change after the checks.
     cases = [
-        (UnaryTable, (0,), "expected 2 indices, got 1"),
-        (UnaryTable, (0, 2), "index 2 out of range for arity 2"),
-        (BinaryTable, ((0, 0),), "expected 2 rows, got 1"),
-        (BinaryTable, ((0, 0), (0,)), "expected 2 columns, got 1"),
-        (BinaryTable, ((0, 0), (0, 5)), "index 5 out of range for arity 2"),
+        (UnaryTable, (0,), ValueError, "expected 2 indices, got 1"),
+        (UnaryTable, (0, 2), ValueError, "index 2 out of range for arity 2"),
+        (UnaryTable, [0, 1], TypeError, "indices must be a tuple, got list"),
+        (BinaryTable, ((0, 0),), ValueError, "expected 2 rows, got 1"),
+        (BinaryTable, ((0, 0), (0,)), ValueError, "expected 2 columns, got 1"),
+        (BinaryTable, ((0, 0), (0, 5)), ValueError, "index 5 out of range for arity 2"),
+        (BinaryTable, [(0, 0), (0, 0)], TypeError, "rows must be a tuple, got list"),
+        (BinaryTable, ((0, 0), [0, 0]), TypeError, "columns must be a tuple, got list"),
     ]
-    for table, indices, message in cases:
-        with pytest.raises(ValueError) as err:
+    for table, indices, error, message in cases:
+        with pytest.raises(error) as err:
             table(2, indices)
         assert str(err.value) == message
 

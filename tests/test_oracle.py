@@ -15,7 +15,6 @@ from modsat.oracle import (
     OracleVerdict,
     brute_force_sat,
     dpll_sat,
-    verify,
 )
 
 from conftest import formulas
@@ -33,7 +32,7 @@ def test_brute_force_simple_sat():
     # Assignment 0b01 is the first satisfying integer.
     assert verdict.witness == (True, False)
     assert verdict.nodes_explored == 2  # tried 0b00 then 0b01
-    assert verify(f, verdict.witness)
+    assert evaluate(f, verdict.witness)
 
 
 def test_brute_force_unsat_tries_everything():
@@ -76,7 +75,7 @@ def test_dpll_pure_literals_alone():
     verdict = dpll_sat(f)
     assert verdict.status == SAT
     assert verdict.nodes_explored == 1
-    assert verify(f, verdict.witness)
+    assert evaluate(f, verdict.witness)
 
 
 def test_dpll_contradiction():
@@ -195,8 +194,8 @@ def test_oracles_agree_on_random_formulas(f):
     dp = dpll_sat(f)
     assert bf.status == dp.status
     if bf.status == SAT:
-        assert verify(f, bf.witness)
-        assert verify(f, dp.witness)
+        assert evaluate(f, bf.witness)
+        assert evaluate(f, dp.witness)
 
 
 @st.composite
@@ -217,7 +216,7 @@ def test_oracles_agree_on_formulas_with_tautologies(f):
     dp = dpll_sat(f)
     assert bf.status == dp.status
     if dp.status == SAT:
-        assert verify(f, dp.witness)
+        assert evaluate(f, dp.witness)
 
 
 def test_oracles_agree_on_seeded_kcnf_batch():
@@ -231,8 +230,8 @@ def test_oracles_agree_on_seeded_kcnf_batch():
         dp = dpll_sat(f)
         assert bf.status == dp.status, f"seed {seed}"
         if bf.status == SAT:
-            assert verify(f, bf.witness)
-            assert verify(f, dp.witness)
+            assert evaluate(f, bf.witness)
+            assert evaluate(f, dp.witness)
         checked += 1
     assert checked == 200
 

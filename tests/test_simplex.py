@@ -58,6 +58,15 @@ def test_system_constraints_must_be_a_tuple():
             LpSystem(1, constraints)
 
 
+def test_system_objective_must_be_a_tuple():
+    # A list could be changed after the checks, and a generator has no len().
+    con = LinearConstraint({0: 1, 1: 1}, 1)
+    for objective in ([1, 0], (c for c in [1, 0])):
+        with pytest.raises(TypeError, match="objective must be a tuple or None"):
+            LpSystem(2, (con,), objective)
+    assert LpSystem(2, (con,), (1, 0)).objective == (1, 0)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_lp_data_must_be_finite(bad):
     for make in (
