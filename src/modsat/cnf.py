@@ -6,10 +6,11 @@ indexed by var-1.
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from typing import Sequence
 
@@ -18,6 +19,10 @@ from .errors import DimacsError, UnsupportedFormulaError
 # DIMACS numbers are ASCII decimal; int() alone would also take "+1", "1_0" or "２".
 _INTEGERS = re.compile(r"-?[0-9]+(?:\s+-?[0-9]+)*").fullmatch
 _HEADER = re.compile(r"p\s+cnf\s+([0-9]+)\s+([0-9]+)").fullmatch
+# write_dimacs's header: single ASCII spaces, since \s also matches
+# characters that splitlines breaks lines on.
+_CANONICAL_HEADER = re.compile(r"p cnf ([0-9]+) ([0-9]+)").fullmatch
+_CANONICAL_CHARS = re.compile(r"[-0-9 \n]*").fullmatch
 
 
 class Clause(tuple):
@@ -119,7 +124,9 @@ def parse_dimacs(text: str | bytes) -> Formula:
     """Parse DIMACS CNF text, or UTF-8 bytes, into a Formula.
 
     Strict: one header, one zero-terminated clause per line, declared counts
-    must match exactly.  Errors carry the offending line number.
+    must match exactly.  Errors carry the offending line number.  Text in
+    write_dimacs's layout is converted in bulk; any other text, and every
+    error, goes through the line loop.
     """
     if isinstance(text, bytes):
         try:
@@ -127,6 +134,9 @@ def parse_dimacs(text: str | bytes) -> Formula:
         except UnicodeDecodeError as exc:  # the bad byte, as U+FFFD, ends its line
             line = len(text[: exc.start + 1].decode("utf-8", "replace").splitlines())
             raise DimacsError(f"input is not valid UTF-8: {exc}", line) from exc
+    parsed = _parse_canonical(text)
+    if parsed is not None:
+        return Formula._make(*parsed)
     num_vars = None
     num_clauses = None
     clauses: list[Clause] = []
@@ -175,6 +185,42 @@ def parse_dimacs(text: str | bytes) -> Formula:
             f"declared {num_clauses} clauses but found {len(clauses)}"
         )
     return Formula._make(num_vars, tuple(clauses))
+
+
+def _parse_canonical(text: str) -> tuple[int, tuple[Clause, ...]] | None:
+    """(num_vars, clauses) of text in write_dimacs's layout with one clause
+    width, converted in bulk; None for any other text, which the line loop
+    of parse_dimacs then parses or rejects, with the same result."""
+    header, _, body = text.partition("\n")
+    header = _CANONICAL_HEADER(header)
+    if not header or not _CANONICAL_CHARS(body):
+        return None
+    # The layout is (?:(?:-?[1-9][0-9]* )+0\n)*.  Every line ends in " 0\n";
+    # with "," for each separator, JSON takes only codes -?(0|[1-9][0-9]*)
+    # with one separator each, and counting 0s leaves none but the line
+    # ends.  Matching that regex in one call would hold a frame per token.
+    lines = body.count("\n")
+    if body.count(" 0\n") != lines or (body and body[-1] != "\n"):
+        return None
+    try:
+        num_vars, num_clauses = map(int, header.groups())
+        codes = json.loads("[" + body[:-1].replace(" ", ",").replace("\n", ",") + "]")
+    except ValueError:  # not that layout, or an integer too long for int()
+        return None
+    if num_clauses != lines or codes.count(0) != lines:
+        return None
+    if not lines:
+        return num_vars, ()
+    k = len(codes) // lines - 1  # every line holds k codes and its 0
+    if len(codes) != lines * (k + 1) or any(codes[k :: k + 1]):
+        return None
+    if max(codes) > num_vars or min(codes) < -num_vars:
+        return None
+    columns = (codes[j :: k + 1] for j in range(k))
+    clauses = tuple(map(partial(tuple.__new__, Clause), zip(*columns)))
+    if sum(map(len, map(set, clauses))) != lines * k:  # a repeated literal
+        return None
+    return num_vars, clauses
 
 
 def write_dimacs(formula: Formula) -> str:

@@ -40,7 +40,7 @@ def _check_indices(arity: int, indices, unit: str) -> None:
     """``indices`` is a tuple of ``arity`` shifts in range(arity)."""
     _check_length(arity, indices, unit)
     for i in indices:
-        if not isinstance(i, int) or not 0 <= i < arity:
+        if type(i) is not int or not 0 <= i < arity:
             raise ValueError(f"index {i!r} out of range for arity {arity}")
 
 
@@ -58,7 +58,7 @@ def mod_shift(n: int, k: int, a) -> int:
     matters.
     """
     _check_arity(n)
-    if not isinstance(k, int) or k < 0:
+    if type(k) is not int or k < 0:
         raise ValueError(f"shift must be an integer >= 0, got {k!r}")
     return (_floor_checked(a) + k) % n
 

@@ -7,11 +7,13 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from modsat import cnf
 from modsat.cnf import (
     Clause,
     Formula,
+    _parse_canonical,
     clause_of,
     evaluate,
     parse_dimacs,
@@ -244,6 +246,7 @@ def test_parsed_formulas_pass_the_public_checks():
         itertools.product((3, 12, 40), (0, 1, 4.27), (1, 3))
     ):
         text = write_dimacs(random_kcnf(num_vars, int(ratio * num_vars), width, seed))
+        assert _parse_canonical(text) is not None
         f = parse_dimacs(text)
         assert Formula(f.num_vars, f.clauses) == f
 
@@ -267,6 +270,86 @@ def test_write_canonical():
 @given(f=formulas())
 def test_dimacs_round_trip_identity(f):
     assert parse_dimacs(write_dimacs(f)) == f
+
+
+@given(f=st.integers(1, 4).flatmap(lambda k: formulas(width=k)))
+def test_write_dimacs_layout_takes_the_bulk_path(f):
+    # Without this a change to either function could lose the bulk path
+    # silently: the line loop gives the same formula, only slower.
+    assert _parse_canonical(write_dimacs(f)) == (f.num_vars, f.clauses)
+
+
+def test_parse_returns_what_the_bulk_path_returns(monkeypatch):
+    monkeypatch.setattr(cnf, "_parse_canonical", lambda text: (7, ()))
+    assert parse_dimacs("not dimacs") == Formula(7, ())
+
+
+# One-character edits: whitespace that \s or splitlines treats specially,
+# line breaks, zeros, digits and signs, and the comment marker.
+_EDITS = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u2003", "\r", "\n",
+          "0", "-0", "00", "1", "9", "-", "c"]
+
+
+def _edited(draw, text):
+    at = draw(st.integers(0, len(text)))
+    cut = draw(st.integers(0, 1))
+    return text[:at] + draw(st.sampled_from(_EDITS)) + text[at + cut:]
+
+
+@st.composite
+def near_canonical_texts(draw):
+    """Text in write_dimacs's layout of a uniform or mixed-width formula. One
+    literal may be turned into a 0, a repeat or a variable out of range, the
+    clause count may be off by one from the number of lines, and one
+    character of the body, or of the whole text, may be inserted or
+    replaced."""
+    uniform = st.integers(1, 3).flatmap(lambda k: formulas(width=k))
+    f = draw(st.one_of(uniform, formulas()))
+    n, lines = f.num_vars, [list(c) for c in f.clauses]
+    line = draw(st.sampled_from(lines))
+    at = draw(st.integers(0, len(line) - 1))
+    line[at] = draw(st.sampled_from([line[at]] * 4 + [0, line[at - 1], n + 1, -n - 1]))
+    body = "".join(" ".join(map(str, c)) + " 0\n" for c in lines)
+    edit = draw(st.sampled_from(["", "", "body", "body", "text"]))
+    if edit == "body":
+        body = _edited(draw, body)
+    m = body.count("\n") + draw(st.sampled_from([0] * 6 + [-1, 1]))
+    text = f"p cnf {n} {m}\n{body}"
+    return _edited(draw, text) if edit == "text" else text
+
+
+def _outcome(text):
+    try:
+        return parse_dimacs(text)
+    except DimacsError as exc:
+        return re.sub(r"^line [0-9]+: ", "", str(exc)), exc.line
+
+
+@settings(max_examples=400)
+@given(text=near_canonical_texts())
+@example(text="p cnf 0 0\n")
+@example(text="p cnf 2 0\n1 0\n")
+@example(text="p cnf 2 1")
+@example(text="p cnf 2 0\n12")
+@example(text="p cnf 2 1\n1 \r2 0\n")
+@example(text="p cnf 9 1\n1e0 2 0\n")
+@example(text="p cnf 4 2\n1\n2 0 3 4 0\n")
+def test_bulk_path_agrees_with_the_line_loop(text):
+    # A leading comment line keeps any text off the bulk path.
+    got, looped = _outcome(text), _outcome("c\n" + text)
+    if isinstance(got, Formula):
+        assert got == looped
+    else:
+        message, line = got
+        assert looped == (message, None if line is None else line + 1)
+
+
+def test_bulk_header_takes_only_ascii_spaces():
+    # \s would match \x0b, which splitlines breaks the header on.
+    with pytest.raises(DimacsError) as err:
+        parse_dimacs("p\x0bcnf 0 0\n")
+    assert str(err.value) == "line 1: malformed header 'p'"
+    assert err.value.line == 1
 
 
 def _all_clauses_3vars():

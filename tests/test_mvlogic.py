@@ -60,6 +60,8 @@ def test_mod_shift_domain_errors():
         mod_shift(1, 0, 0)
     with pytest.raises(ValueError):
         mod_shift(2, -1, 0)
+    with pytest.raises(ValueError, match="shift must be an integer >= 0, got True"):
+        mod_shift(2, True, 0)
     with pytest.raises(ValueError):
         mod_shift(2, 0, float("inf"))
     with pytest.raises(ValueError):
@@ -187,11 +189,13 @@ def test_table_validation():
         (UnaryTable, (0,), ValueError, "expected 2 indices, got 1"),
         (UnaryTable, (0, 2), ValueError, "index 2 out of range for arity 2"),
         (UnaryTable, [0, 1], TypeError, "indices must be a tuple, got list"),
+        (UnaryTable, (True, False), ValueError, "index True out of range for arity 2"),
         (BinaryTable, ((0, 0),), ValueError, "expected 2 rows, got 1"),
         (BinaryTable, ((0, 0), (0,)), ValueError, "expected 2 columns, got 1"),
         (BinaryTable, ((0, 0), (0, 5)), ValueError, "index 5 out of range for arity 2"),
         (BinaryTable, [(0, 0), (0, 0)], TypeError, "rows must be a tuple, got list"),
         (BinaryTable, ((0, 0), [0, 0]), TypeError, "columns must be a tuple, got list"),
+        (BinaryTable, ((0, 0), (0, True)), ValueError, "index True out of range for arity 2"),
     ]
     for table, indices, error, message in cases:
         with pytest.raises(error) as err:
