@@ -114,7 +114,7 @@ def cmd_tables(args) -> int:
 
 def cmd_gen(args) -> int:
     ratios = None
-    if args.ratios:
+    if args.ratios is not None:
         ratios = [float(tok) for tok in args.ratios.split(",") if tok]
         if not ratios:
             raise ValueError("--ratios must list at least one ratio")

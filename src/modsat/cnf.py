@@ -41,11 +41,6 @@ def clause_of(*codes: int) -> Clause:
     """The one constructor and the one check of a clause of signed codes."""
     if set(map(type, codes)) - {int}:
         raise ValueError(f"literals must be integers, got {codes!r}")
-    return _clause(codes)
-
-
-def _clause(codes: tuple[int, ...]) -> Clause:
-    """``clause_of`` for codes known to be ints: every check but the type."""
     if not codes:
         raise ValueError("empty clause: a clause needs at least one literal")
     if 0 in codes:
@@ -157,18 +152,16 @@ def parse_dimacs(text: str | bytes) -> Formula:
             continue
         if num_vars is None:
             raise DimacsError("clause before header", lineno)
-        try:  # int() takes just _INTEGERS on an ASCII line with no "_" or "+"
-            if "_" in line or "+" in line or not (line.isascii() or _INTEGERS(line)):
-                raise ValueError
+        if not _INTEGERS(line):
+            raise DimacsError(f"non-integer token in {line!r}", lineno)
+        try:
             *codes, end = map(int, line.split())
-        except ValueError:
-            if _INTEGERS(line):  # an integer too long for int()
-                raise DimacsError("integer token too long", lineno) from None
-            raise DimacsError(f"non-integer token in {line!r}", lineno) from None
+        except ValueError:  # an integer too long for int()
+            raise DimacsError("integer token too long", lineno) from None
         if end != 0:
             raise DimacsError("clause line must end with 0", lineno)
         try:
-            clause = _clause(tuple(codes))
+            clause = clause_of(*codes)
         except ValueError as exc:
             raise DimacsError(str(exc), lineno) from None
         if max(clause) > num_vars or min(clause) < -num_vars:

@@ -93,8 +93,7 @@ def build_system(formula: Formula, config: PipelineConfig) -> simplex.LpSystem:
         formula, config.negation_mode, config.bound_mode
     )
     if config.objective == OBJECTIVE_MAX_SUM and formula.num_vars > 0:
-        objective = (1,) * formula.num_vars
-        system = simplex.LpSystem._make(system.num_vars, system.constraints, objective)
+        system = replace(system, objective=(1,) * formula.num_vars)
     return system
 
 

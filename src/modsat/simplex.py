@@ -35,9 +35,12 @@ PIVOT_BUDGET = 100_000
 
 
 def _finite(value, what: str):
-    """``value``, unless it is a NaN or infinite float; ints and Fractions
-    are always finite (and ``math.isfinite`` overflows on huge Fractions)."""
-    if isinstance(value, float) and not math.isfinite(value):
+    """``value``, if it is an int (not a bool), a Fraction or a finite float;
+    ints and Fractions are always finite (and ``math.isfinite`` overflows on
+    huge Fractions)."""
+    if type(value) not in (int, Fraction, float):
+        raise TypeError(f"{what} must be an int, a Fraction or a float, got {value!r}")
+    if type(value) is float and not math.isfinite(value):
         raise ValueError(f"{what} must be finite, got {value!r}")
     return value
 
@@ -48,7 +51,8 @@ class LinearConstraint(namedtuple("LinearConstraint", "coefficients bound offset
     ``offset`` records a constant that was folded out of the left side (used
     when complemented literals 1 - X are rewritten); the modeled quantity is
     offset + sum(...).  An empty coefficient map is a constant row.  The
-    constructor rejects NaN and infinite data and makes the map canonical
+    constructor takes ints as indices and ints, Fractions and finite floats
+    as data, no bools, and makes the map canonical
     (variables ascending, no zero coefficient);
     ``tuple.__new__(LinearConstraint, (coefficients, bound, offset))`` takes
     finite, canonical data as it is.
@@ -58,11 +62,12 @@ class LinearConstraint(namedtuple("LinearConstraint", "coefficients bound offset
 
     def __new__(cls, coefficients: Mapping[int, int | Fraction], bound, offset=0):
         canon = {}
-        for var, coeff in sorted(coefficients.items()):
-            if not isinstance(var, int) or var < 0:
-                raise ValueError(f"variable index must be >= 0, got {var!r}")
+        for var, coeff in coefficients.items():
+            if type(var) is not int or var < 0:
+                raise ValueError(f"variable index must be an int >= 0, got {var!r}")
             if _finite(coeff, "coefficient") != 0:
                 canon[var] = coeff
+        canon = dict(sorted(canon.items()))
         return super().__new__(
             cls, canon, _finite(bound, "bound"), _finite(offset, "offset")
         )

@@ -12,6 +12,13 @@ import pytest
 
 import modsat
 from modsat.cli import build_parser, main
+from modsat.cnf import parse_dimacs
+from modsat.mvlogic import (
+    enumerate_binary,
+    enumerate_unary,
+    format_binary_block,
+    format_unary_block,
+)
 
 
 def write_cnf(tmp_path, name, text):
@@ -48,6 +55,16 @@ def test_tables_unary_arity_2(capsys):
     assert "idx=1,1" in blocks[3]
 
 
+@pytest.mark.parametrize("family", ["binary", "both"])
+def test_tables_binary_and_both_families(capsys, family):
+    assert main(["tables", "--arity", "2", "--family", family]) == 0
+    blocks = [format_binary_block(t) for t in enumerate_binary(2)]
+    if family == "both":
+        blocks[:0] = [format_unary_block(t) for t in enumerate_unary(2)]
+    assert capsys.readouterr().out == "\n".join(blocks)
+    assert len(blocks) == (20 if family == "both" else 16)
+
+
 def test_tables_budget_error(capsys):
     assert main(["tables", "--arity", "4", "--family", "binary"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -68,6 +85,35 @@ def test_gen_is_deterministic(tmp_path, capsys):
     assert "wrote 2 instances" in capsys.readouterr().out
 
 
+def test_gen_ratios_sets_clauses_per_variable(tmp_path, capsys):
+    argv = [
+        "gen", "--vars", "6", "--width", "3", "--count", "2",
+        "--ratios", "3,4.5", "--out", str(tmp_path),
+    ]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"wrote 4 instances to {tmp_path}\n"
+    clauses = {
+        p.name: parse_dimacs(p.read_bytes()).num_clauses
+        for p in tmp_path.glob("*.cnf")
+    }
+    assert clauses == {
+        "k3_n6_r3_i000.cnf": 18,
+        "k3_n6_r3_i001.cnf": 18,
+        "k3_n6_r4.5_i000.cnf": 27,
+        "k3_n6_r4.5_i001.cnf": 27,
+    }
+
+
+@pytest.mark.parametrize("ratios", ["", ","])
+def test_gen_names_an_empty_ratio_list(tmp_path, capsys, ratios):
+    argv = ["gen", "--vars", "6", "--width", "3", "--ratios", ratios]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: --ratios must list at least one ratio\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_reports_divergence(tmp_path, capsys):
     # Each clause half true: reference true, fold false.
     path = write_cnf(tmp_path, "div.cnf", "p cnf 2 2\n1 -2 0\n-1 2 0\n")
@@ -84,6 +130,13 @@ def test_eval_reports_divergence(tmp_path, capsys):
 def test_eval_rejects_bad_assignment(simple_file, capsys):
     assert main(["eval", simple_file, "--assignment", "1"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_eval_rejects_assignment_characters_other_than_0_and_1(simple_file, capsys):
+    assert main(["eval", simple_file, "--assignment", "012"]) == 1
+    assert capsys.readouterr().err == (
+        "error: assignment must be 0/1 characters, got '012'\n"
+    )
 
 
 def test_lp_json_shape(contra_file, capsys):
@@ -107,6 +160,17 @@ def test_lp_text_format(simple_file, capsys):
     assert out.startswith("vars: 2\n")
     assert "c0: 1*X1 + 1*X2 <= 2" in out
     assert "status: feasible" in out
+
+
+def test_lp_text_shows_offsets_and_the_objective(tmp_path, capsys):
+    # 1 v -1 is a tautology: affine mode folds it to the constant row 0 <= 1.
+    path = write_cnf(tmp_path, "taut.cnf", "p cnf 2 2\n1 -1 0\n1 2 0\n")
+    argv = ["lp", path, "--format", "text", "--negation", "affine"]
+    assert main(argv + ["--objective", "max-sum"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "c0: 0 <= 1  (offset 1)"
+    assert "objective: maximize 1*X1 + 1*X2" in lines
+    assert lines[-2:] == ["objective_value: 2", "pivot_steps: 2"]
 
 
 def test_lp_text_reports_infeasibility(tmp_path, capsys):

@@ -55,6 +55,12 @@ def test_clause_validation():
     assert len(clause_of(1, -1)) == 2
 
 
+@pytest.mark.parametrize("code", [1.5, True, "1"])
+def test_clause_of_takes_only_int_codes(code):
+    with pytest.raises(ValueError, match="literals must be integers"):
+        clause_of(code)
+
+
 def test_clause_is_built_only_by_clause_of():
     with pytest.raises(TypeError, match="clause_of"):
         Clause((1, 2))

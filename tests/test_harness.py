@@ -1,12 +1,14 @@
 """Differential harness: classification, reports, corpus tooling."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
-from modsat import oracle, pipeline
+from modsat import harness, oracle, pipeline, simplex
 from modsat.cnf import Formula, clause_of, parse_dimacs, random_kcnf
 from modsat.errors import DimacsError
+from modsat.foldeval import fold_eval
 from modsat.harness import (
     BUDGET_EXCEEDED,
     CATEGORIES,
@@ -111,6 +113,35 @@ def test_failing_dpll_witness_is_an_error_record(monkeypatch):
     )
     # All false satisfies no clause of allpos either.
     assert allpos.category == ERROR_CATEGORY
+
+
+def test_unsat_claims_classify_against_the_oracle(monkeypatch):
+    # No formula of width >= 2 has an infeasible relaxation, so a solve that
+    # always reports one stands in for it.
+    infeasible = simplex.LpSolution(simplex.INFEASIBLE, None, None, 2, Fraction(1))
+    monkeypatch.setattr(simplex, "solve", lambda system: infeasible)
+    probes = []
+
+    def spy(formula, assignment):
+        probes.append(assignment)
+        return fold_eval(formula, assignment)
+
+    monkeypatch.setattr(harness, "fold_eval", spy)
+    corpus = small_corpus()[1::-1]  # contra (unsat), then allpos (sat)
+    report = diff_run(corpus)
+    contra, allpos = report.records
+    assert (contra.category, allpos.category) == ("sound_unsat", "missed_sat")
+    assert report.aggregates()["claim_oracle_agreement"] == 0.5
+    (blown,) = diff_run(corpus[:1], oracle_budget=0).records
+    assert blown.category == "oracle_budget_exceeded"
+    assert blown.oracle_nodes is None
+    for r, rows in ((contra, 4), (allpos, 2), (blown, 4)):
+        assert r.claim == pipeline.UNSAT_CLAIM
+        assert r.candidate_verified is None
+        assert (r.lp_pivots, r.pipeline_steps, r.anomaly_count) == (2, rows + 2, 0)
+        assert r.fold_additions is not None
+    # With no candidate, the fold is probed at all false.
+    assert probes == [(False,) * 2, (False,) * 3, (False,) * 2]
 
 
 def test_errors_are_captured_not_raised(monkeypatch):

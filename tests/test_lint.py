@@ -58,7 +58,6 @@ def test_only_checked_producers_skip_the_constructor_checks():
     assert calls == {
         ("cnf.py", "parse_dimacs", "Formula"),
         ("relax.py", "build_relaxation", "LpSystem"),
-        ("pipeline.py", "build_system", "simplex.LpSystem"),
     }
 
 

@@ -147,6 +147,13 @@ def test_binary_apply_floors_product_not_factors():
     assert t.apply(1.5, 1.5) == (2 + 1) % 3
 
 
+def test_binary_apply_refuses_arguments_outside_its_domain():
+    t = BinaryTable(2, ((0, 0), (0, 0)))
+    for a, b in ((2, 0), (0, 2), (-0.5, 1), (1, 2.5)):
+        with pytest.raises(ValueError, match="outside domain"):
+            t.apply(a, b)
+
+
 def test_enumeration_counts_and_first_table():
     unary3 = list(enumerate_unary(3))
     assert len(unary3) == 27

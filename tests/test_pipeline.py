@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from modsat import relax
+from modsat import relax, simplex
 from modsat.cnf import Formula, clause_of, evaluate
 from modsat.errors import UnsupportedFormulaError
 from modsat.mvlogic import mod_shift
@@ -16,12 +16,13 @@ from modsat.pipeline import (
     SAT_CLAIM,
     UNSAT_CLAIM,
     PipelineConfig,
+    PipelineResult,
     RoundAnomaly,
     build_system,
     round_assignment,
     run,
 )
-from modsat.simplex import FEASIBLE, LpSystem
+from modsat.simplex import FEASIBLE, INFEASIBLE, LpSolution, LpSystem
 
 from conftest import formulas
 from test_identity import relaxation_formulas
@@ -204,3 +205,12 @@ def test_unsat_claim_unreachable_for_valid_input(f):
         result = run(f, config)
         assert result.claimed_status == SAT_CLAIM
         assert result.claimed_status != UNSAT_CLAIM
+
+
+def test_infeasible_relaxation_yields_unsat_claim(monkeypatch):
+    # Unreachable for valid input (above), so a stub solve reports infeasible.
+    infeasible = LpSolution(INFEASIBLE, None, None, 3, Fraction(1, 2))
+    monkeypatch.setattr(simplex, "solve", lambda system: infeasible)
+    result = run(contradiction(), PipelineConfig(negation_mode="affine"))
+    # steps: 4 clause rows + 2 box rows + 3 pivots, and no rounding.
+    assert result == PipelineResult(UNSAT_CLAIM, None, infeasible, (), 4 + 2 + 3)

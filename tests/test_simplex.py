@@ -81,6 +81,26 @@ def test_lp_data_must_be_finite(bad):
     LpSystem(1, (LinearConstraint({0: huge}, huge, huge),), objective=(huge,))
 
 
+@pytest.mark.parametrize("bad", ["1/2", "2", None, 1j, True, [1]])
+def test_lp_data_must_be_numbers(bad):
+    # A str would reach solve as Fraction(str), None and 1j fail inside it.
+    for what, make in (
+        ("coefficient", lambda: LinearConstraint({0: bad}, 1)),
+        ("bound", lambda: LinearConstraint({0: 1}, bad)),
+        ("offset", lambda: LinearConstraint({0: 1}, 1, bad)),
+        ("objective entry", lambda: LpSystem(1, (), objective=(bad,))),
+    ):
+        with pytest.raises(TypeError, match=what):
+            make()
+
+
+@pytest.mark.parametrize("var", [True, False, 1.0, "0", None])
+def test_variable_indices_must_be_ints(var):
+    # Beside an int index, so that the check must come before the sort.
+    with pytest.raises(ValueError, match="variable index must be an int"):
+        LinearConstraint({5: 1, var: 1}, 1)
+
+
 def test_basic_maximization():
     # max x0 + x1 s.t. x0 + 2 x1 <= 4, 3 x0 + x1 <= 6.
     system = LpSystem(
