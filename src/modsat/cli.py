@@ -67,6 +67,16 @@ def _assignment_str(values) -> str:
     return "".join("1" if v else "0" for v in values)
 
 
+def _comma_list(text: str, flag: str, noun: str, convert) -> list:
+    """The items of ``flag``'s comma-separated value, each converted."""
+    items = text.split(",")
+    if not any(items):
+        raise ValueError(f"{flag} must list at least one {noun}")
+    if "" in items:
+        raise ValueError(f"{flag} has an empty item in {text!r}")
+    return [convert(item) for item in items]
+
+
 def _config_from_args(args) -> pipeline.PipelineConfig:
     return pipeline.PipelineConfig(
         negation_mode=args.negation,
@@ -115,9 +125,7 @@ def cmd_tables(args) -> int:
 def cmd_gen(args) -> int:
     ratios = None
     if args.ratios is not None:
-        ratios = [float(tok) for tok in args.ratios.split(",") if tok]
-        if not ratios:
-            raise ValueError("--ratios must list at least one ratio")
+        ratios = _comma_list(args.ratios, "--ratios", "ratio", float)
     paths = harness.gen_corpus(
         args.out,
         num_vars=args.vars,
@@ -282,7 +290,7 @@ def cmd_diff(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok]
+    sizes = _comma_list(args.sizes, "--sizes", "size", int)
     report = harness.bench_eval(args.width, sizes, args.seed)
     _print_json(report, args.out)
     return 0

@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
+from math import ceil, log
 from typing import Sequence
 
 from .errors import DimacsError, UnsupportedFormulaError
@@ -39,8 +40,9 @@ class Clause(tuple):
 
 def clause_of(*codes: int) -> Clause:
     """The one constructor and the one check of a clause of signed codes."""
-    if set(map(type, codes)) - {int}:
-        raise ValueError(f"literals must be integers, got {codes!r}")
+    for code in codes:
+        if type(code) is not int:
+            raise ValueError(f"literals must be integers, got {codes!r}")
     if not codes:
         raise ValueError("empty clause: a clause needs at least one literal")
     if 0 in codes:
@@ -245,7 +247,11 @@ def random_kcnf(
     """Seeded uniform-width random formula.
 
     Each clause draws ``width`` distinct variables and flips a fair coin per
-    literal for polarity.  Same seed, same formula.
+    literal for polarity.  Same seed, same formula: the draws of a clause
+    are those of ``rng.sample(range(1, num_vars + 1), width)`` followed by
+    one ``rng.random() < 0.5`` per literal, in order, with
+    ``rng = random.Random(seed)``; the two branches of ``Random.sample``
+    (Python 3.10-3.12) are inlined to spare its per-call overhead.
     """
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
@@ -254,10 +260,33 @@ def random_kcnf(
     if num_clauses < 0:
         raise ValueError(f"num_clauses must be >= 0, got {num_clauses}")
     rng = random.Random(seed)
+    getrandbits, coin = rng.getrandbits, rng.random
+    slots = range(width)
+    # sample keeps a pool of the unchosen when that list is smaller than
+    # the set of the chosen, and otherwise redraws a chosen index.
+    pooled = num_vars <= 21 + (4 ** ceil(log(3 * width, 4)) if width > 5 else 0)
+    variables = range(1, num_vars + 1)
+    pool_sizes = [(n, n.bit_length()) for n in range(num_vars, num_vars - width, -1)]
+    bits = num_vars.bit_length()
     clauses = []
     for _ in range(num_clauses):
-        chosen = rng.sample(range(1, num_vars + 1), width)
-        clauses.append(
-            clause_of(*(-v if rng.random() < 0.5 else v for v in chosen))
-        )
+        chosen = []
+        if pooled:  # the unchosen at pool[:n]; the last of them fills the gap
+            pool = list(variables)
+            for n, pool_bits in pool_sizes:
+                j = getrandbits(pool_bits)
+                while j >= n:
+                    j = getrandbits(pool_bits)
+                chosen.append(pool[j])
+                pool[j] = pool[n - 1]
+        else:  # an index out of range or already chosen is drawn again
+            for _ in slots:
+                v = getrandbits(bits) + 1
+                while v > num_vars or v in chosen:
+                    v = getrandbits(bits) + 1
+                chosen.append(v)
+        for i in slots:
+            if coin() < 0.5:
+                chosen[i] = -chosen[i]
+        clauses.append(clause_of(*chosen))
     return Formula(num_vars, tuple(clauses))

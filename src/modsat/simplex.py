@@ -61,6 +61,10 @@ class LinearConstraint(namedtuple("LinearConstraint", "coefficients bound offset
     __slots__ = ()
 
     def __new__(cls, coefficients: Mapping[int, int | Fraction], bound, offset=0):
+        if not isinstance(coefficients, Mapping):
+            raise TypeError(
+                f"coefficients must be a mapping of index to value, got {coefficients!r}"
+            )
         canon = {}
         for var, coeff in coefficients.items():
             if type(var) is not int or var < 0:

@@ -114,6 +114,16 @@ def test_gen_names_an_empty_ratio_list(tmp_path, capsys, ratios):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("ratios", ["3,,4", "3,4,", ",3"])
+def test_gen_refuses_an_empty_ratio_item(tmp_path, capsys, ratios):
+    argv = ["gen", "--vars", "6", "--width", "3", "--ratios", ratios]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --ratios has an empty item in {ratios!r}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_reports_divergence(tmp_path, capsys):
     # Each clause half true: reference true, fold false.
     path = write_cnf(tmp_path, "div.cnf", "p cnf 2 2\n1 -2 0\n-1 2 0\n")
@@ -315,6 +325,21 @@ def test_bench_is_deterministic(capsys):
         assert main(argv) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ("10,,20", "--sizes has an empty item in '10,,20'"),
+        ("10,20,", "--sizes has an empty item in '10,20,'"),
+        ("", "--sizes must list at least one size"),
+        (",", "--sizes must list at least one size"),
+    ],
+)
+def test_bench_refuses_an_empty_size_item(capsys, sizes, message):
+    assert main(["bench", "--width", "3", "--sizes", sizes]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_out_flag_writes_file(simple_file, tmp_path, capsys):

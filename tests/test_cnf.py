@@ -3,6 +3,7 @@
 import copy
 import itertools
 import pickle
+import random
 import re
 import sys
 
@@ -59,6 +60,22 @@ def test_clause_validation():
 def test_clause_of_takes_only_int_codes(code):
     with pytest.raises(ValueError, match="literals must be integers"):
         clause_of(code)
+
+
+@pytest.mark.parametrize(
+    "codes, message",
+    [
+        ((), "empty clause"),
+        ((1, True), "literals must be integers"),
+        ((2.0,), "literals must be integers"),
+        ((True, 0), "literals must be integers"),
+        ((0, 0), "0 inside clause body"),
+        ((1, 1), "duplicate literal"),
+    ],
+)
+def test_clause_of_checks_type_then_empty_then_zero_then_duplicate(codes, message):
+    with pytest.raises(ValueError, match=message):
+        clause_of(*codes)
 
 
 def test_clause_is_built_only_by_clause_of():
@@ -402,6 +419,42 @@ def test_random_kcnf_shape_and_determinism():
         assert len(set(map(abs, clause))) == 3
     assert f == random_kcnf(10, 30, 3, seed=7)
     assert f != random_kcnf(10, 30, 3, seed=8)
+
+
+def sample_reference(num_vars, num_clauses, width, seed):
+    """random_kcnf as Random.sample and one coin per literal draw it."""
+    rng = random.Random(seed)
+    clauses = []
+    for _ in range(num_clauses):
+        chosen = rng.sample(range(1, num_vars + 1), width)
+        clauses.append(clause_of(*(-v if rng.random() < 0.5 else v for v in chosen)))
+    return Formula(num_vars, tuple(clauses))
+
+
+# Random.sample keeps a pool of the unchosen for up to 21 variables when
+# width <= 5 and up to 85 when width is 6-9, and a set of the chosen above.
+SAMPLE_EDGES = (21, 22, 85, 86)
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_random_kcnf_draws_what_sample_draws_at_each_branch_edge(width):
+    for num_vars in (width, *(n for n in SAMPLE_EDGES if n >= width)):
+        for seed in range(5):
+            expected = sample_reference(num_vars, 40, width, seed)
+            assert random_kcnf(num_vars, 40, width, seed) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    width=st.integers(1, 9),
+    num_vars=st.sampled_from(SAMPLE_EDGES) | st.integers(1, 120),
+    num_clauses=st.integers(0, 40),
+    seed=st.integers(0, 2**64),
+)
+def test_random_kcnf_draws_what_sample_draws(width, num_vars, num_clauses, seed):
+    num_vars = max(num_vars, width)
+    expected = sample_reference(num_vars, num_clauses, width, seed)
+    assert random_kcnf(num_vars, num_clauses, width, seed) == expected
 
 
 def test_random_kcnf_polarity_balance():

@@ -94,6 +94,12 @@ def test_lp_data_must_be_numbers(bad):
             make()
 
 
+@pytest.mark.parametrize("coefficients", [[1], (1,), None, {0: 1}.items()])
+def test_coefficients_must_be_a_mapping(coefficients):
+    with pytest.raises(TypeError, match="coefficients must be a mapping"):
+        LinearConstraint(coefficients, 1)
+
+
 @pytest.mark.parametrize("var", [True, False, 1.0, "0", None])
 def test_variable_indices_must_be_ints(var):
     # Beside an int index, so that the check must come before the sort.
