@@ -74,7 +74,13 @@ def _comma_list(text: str, flag: str, noun: str, convert) -> list:
         raise ValueError(f"{flag} must list at least one {noun}")
     if "" in items:
         raise ValueError(f"{flag} has an empty item in {text!r}")
-    return [convert(item) for item in items]
+    values = []
+    for item in items:
+        try:
+            values.append(convert(item))
+        except ValueError:
+            raise ValueError(f"{flag} has a bad item {item!r} in {text!r}") from None
+    return values
 
 
 def _config_from_args(args) -> pipeline.PipelineConfig:

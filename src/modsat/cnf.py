@@ -253,6 +253,10 @@ def random_kcnf(
     ``rng = random.Random(seed)``; the two branches of ``Random.sample``
     (Python 3.10-3.12) are inlined to spare its per-call overhead.
     """
+    args = {"num_vars": num_vars, "num_clauses": num_clauses, "width": width}
+    for name, value in args.items():
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, got {value!r}")
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
     if width > num_vars:

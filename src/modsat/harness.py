@@ -308,6 +308,8 @@ def gen_corpus(
     """
     if (num_clauses is None) == (ratios is None):
         raise ValueError("exactly one of num_clauses or ratios is required")
+    if type(count) is not int:
+        raise TypeError(f"count must be an int, got {count!r}")
     if count < 1:
         raise ValueError("count must be >= 1")
     if ratios is not None:

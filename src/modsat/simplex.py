@@ -91,6 +91,8 @@ class LpSystem:
         if type(self.constraints) is not tuple:
             raise TypeError("constraints must be a tuple of LinearConstraint")
         for con in self.constraints:
+            if not isinstance(con, LinearConstraint):
+                raise TypeError("constraints must be a tuple of LinearConstraint")
             for var in con.coefficients:
                 if var >= self.num_vars:
                     raise ValueError(
@@ -159,8 +161,6 @@ class _Tableau:
     negative-bound row is negated and made basic in an artificial variable,
     which never enters and so has no column, only the basis label nx + m + k
     of the k-th such row (for phase 1's cost and Bland's ratio tie-break).
-    Rows and their scaling wait for the first objective row: a solve with no
-    objective and no negative bound returns the origin off the bound signs.
 
     Exact entries are ints, the true entry ``row[j] / d``, from data scaled
     by the lcm ``scale`` of their denominators (the objective by its own):
@@ -169,38 +169,32 @@ class _Tableau:
 
     def __init__(self, system: LpSystem, exact: bool):
         self.exact = exact
-        self.zero, self.one = (0, 1) if exact else (0.0, 1.0)
+        self.zero, self.one = zero, one = (0, 1) if exact else (0.0, 1.0)
         self.tol = 0 if exact else FLOAT_TOL
         self.scaling = _integer_scaling if exact else lambda values: (1, float)
         self.d = 1
-        self.zrow: list | None = None
-        self.rows: list[list] = []
-        self.cons = cons = system.constraints
-        self.nx, self.rhs = system.num_vars, system.num_vars + len(cons)
+        cons = system.constraints
+        self.nx, self.rhs = nx, rhs = system.num_vars, system.num_vars + len(cons)
         self.nart = self.pivots = 0
-        self.basis: list[int] = []
-        for i, con in enumerate(cons):  # scaling by a positive lcm keeps signs
-            if con.bound < 0:
-                self.basis.append(self.rhs + self.nart)
-                self.nart += 1
-            else:
-                self.basis.append(self.nx + i)
-
-    def _build_rows(self) -> None:
-        nx, zero, cons = self.nx, self.zero, self.cons
         data = [con.bound for con in cons], *[con.coefficients.values() for con in cons]
         self.scale, conv = self.scaling(itertools.chain(*data))
+        self.rows: list[list] = []
+        self.basis: list[int] = []
         for i, con in enumerate(cons):
-            row = [zero] * (self.rhs + 1)
+            row = [zero] * (rhs + 1)
             for var, c in con.coefficients.items():
                 row[var] = conv(c)
-            b, slack = conv(con.bound), self.one
-            if con.bound < 0:
+            b, slack = conv(con.bound), one
+            if con.bound < 0:  # scaling by a positive lcm keeps signs
                 # Only the structural columns: their float zeros turn to -0.0.
                 row[:nx] = [-c for c in row[:nx]]
                 b, slack = -b, -slack
+                self.basis.append(rhs + self.nart)
+                self.nart += 1
+            else:
+                self.basis.append(nx + i)
             row[nx + i] = slack
-            row[self.rhs] = b
+            row[rhs] = b
             self.rows.append(row)
 
     def _value(self, x, scale: int = 1):
@@ -243,8 +237,6 @@ class _Tableau:
 
     def _build_zrow(self, costs: list) -> None:
         """zrow[j] = sum over basic rows of cost(basic) * row[j], minus cost(j)."""
-        if self.zrow is None:
-            self._build_rows()
         zrow = [self.zero] * (self.rhs + 1)
         for i, bcol in enumerate(self.basis):
             cb = costs[bcol]
@@ -308,7 +300,8 @@ class _Tableau:
     def phase_two(self, objective: Sequence) -> Fraction | float | None:
         """Maximize ``objective``: its optimal value, or None if unbounded."""
         cost_scale, conv = self.scaling(objective)
-        self._build_zrow([conv(c) for c in objective] + [self.zero] * len(self.cons))
+        slacks = self.rhs - self.nx
+        self._build_zrow([conv(c) for c in objective] + [self.zero] * slacks)
         if self._iterate():
             return self._value(self.zrow[self.rhs], cost_scale)
         return None
@@ -324,10 +317,14 @@ class _Tableau:
 def solve(system: LpSystem, *, exact: bool = True) -> LpSolution:
     """Two-phase simplex.
 
-    Without an objective the phase-1 basic feasible point is returned as-is.
-    With one, phase 2 maximizes it and reports the optimal vertex or
-    unboundedness.  ``pivot_steps`` counts every pivot across both phases.
+    Without an objective the phase-1 basic feasible point is returned as-is:
+    the origin, with no tableau built, when no bound is negative.  With one,
+    phase 2 maximizes it and reports the optimal vertex or unboundedness.
+    ``pivot_steps`` counts every pivot across both phases.
     """
+    if system.objective is None and all(con.bound >= 0 for con in system.constraints):
+        origin = (Fraction(0) if exact else 0.0,) * system.num_vars
+        return LpSolution(FEASIBLE, origin, None, 0)
     tab = _Tableau(system, exact)
     infeasibility = tab.phase_one()
     if infeasibility is not None:

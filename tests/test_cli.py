@@ -124,6 +124,16 @@ def test_gen_refuses_an_empty_ratio_item(tmp_path, capsys, ratios):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("ratios, item", [("3,x", "x"), ("1e,4", "1e")])
+def test_gen_names_a_bad_ratio_item(tmp_path, capsys, ratios, item):
+    argv = ["gen", "--vars", "6", "--width", "3", "--ratios", ratios]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --ratios has a bad item {item!r} in {ratios!r}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_reports_divergence(tmp_path, capsys):
     # Each clause half true: reference true, fold false.
     path = write_cnf(tmp_path, "div.cnf", "p cnf 2 2\n1 -2 0\n-1 2 0\n")
@@ -162,6 +172,12 @@ def test_lp_json_shape(contra_file, capsys):
     }
     assert data["solution"]["status"] == "feasible"
     assert data["solution"]["point"] == ["1/2", "1/2"]
+
+
+def test_lp_json_lists_the_objective(contra_file, capsys):
+    data = run_json(capsys, ["lp", contra_file, "--objective", "max-sum"])
+    assert data["system"]["objective"] == [1, 1]
+    assert data["solution"]["objective_value"] == "2"
 
 
 def test_lp_text_format(simple_file, capsys):
@@ -221,6 +237,20 @@ def test_solve_max_sum_objective(simple_file, capsys):
     # Exact values serialize as strings, floats as numbers.
     assert data["lp"]["objective_value"] == "2"
     assert data["assignment"] == "00"  # coordinates at 1 round to false
+
+
+def test_solve_reports_anomalies(tmp_path, capsys):
+    # Under k-1 max-sum X1 and X3 reach 2, and 2 mod k = 3 is neither 0 nor
+    # 1: an anomaly, decoded to false.
+    path = write_cnf(tmp_path, "a.cnf", "p cnf 4 2\n-4 2 -1 0\n3 2 4 0\n")
+    argv = ["solve", path, "--bound", "k-1", "--round-base", "k"]
+    data = run_json(capsys, argv + ["--objective", "max-sum"])
+    assert data["anomalies"] == [
+        {"raw": "2", "rounded": 2, "var": 1},
+        {"raw": "2", "rounded": 2, "var": 3},
+    ]
+    assert data["assignment"] == "0101"
+    assert data["lp"]["pivot_steps"] == 2
 
 
 def test_oracle_dpll_and_brute(contra_file, simple_file, capsys):
@@ -340,6 +370,15 @@ def test_bench_refuses_an_empty_size_item(capsys, sizes, message):
     assert main(["bench", "--width", "3", "--sizes", sizes]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("sizes, item", [("x", "x"), ("10,2.5", "2.5")])
+def test_bench_names_a_bad_size_item(capsys, sizes, item):
+    assert main(["bench", "--width", "3", "--sizes", sizes]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: --sizes has a bad item {item!r} in {sizes!r}\n"
+    )
 
 
 def test_out_flag_writes_file(simple_file, tmp_path, capsys):

@@ -474,6 +474,17 @@ def test_random_kcnf_validation():
         random_kcnf(2, -1, 2, seed=0)
 
 
+@pytest.mark.parametrize("name", ["num_vars", "num_clauses", "width"])
+@pytest.mark.parametrize("bad", [3.0, True, "3"])
+def test_random_kcnf_arguments_must_be_ints(name, bad):
+    # A float used to fail inside range(), and a bool was taken as 0 or 1.
+    args = {"num_vars": 6, "num_clauses": 4, "width": 3}
+    args[name] = bad
+    message = re.escape(f"{name} must be an int, got {bad!r}")
+    with pytest.raises(TypeError, match=message):
+        random_kcnf(**args, seed=0)
+
+
 def test_require_uniform():
     f = Formula(3, (clause_of(1, 2), clause_of(-2, 3)))
     assert require_uniform(f, 2) == 2

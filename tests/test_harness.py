@@ -286,6 +286,17 @@ def test_gen_corpus_argument_validation(tmp_path):
         gen_corpus(tmp_path, 8, 3, 0, seed=0, num_clauses=5)
 
 
+@pytest.mark.parametrize("bad", [2.0, True])
+@pytest.mark.parametrize("name", ["num_vars", "width", "count", "num_clauses"])
+def test_gen_corpus_arguments_must_be_ints(tmp_path, name, bad):
+    out = tmp_path / "corpus"
+    args = {"num_vars": 8, "width": 3, "count": 2, "seed": 0, "num_clauses": 5}
+    args[name] = bad
+    with pytest.raises(TypeError, match=f"{name} must be an int"):
+        gen_corpus(out, **args)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("ratios", [[3, 3.0000001], [3, 3]])
 def test_gen_corpus_refuses_colliding_names(tmp_path, ratios):
     # Both ratios format as r3, so the second file would overwrite the first.

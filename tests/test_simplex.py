@@ -10,7 +10,7 @@ import pytest
 
 from modsat import harness, pipeline, relax, simplex
 from modsat.cli import main
-from modsat.cnf import Formula, clause_of, write_dimacs
+from modsat.cnf import Formula, clause_of, random_kcnf, write_dimacs
 from modsat.errors import BudgetExceededError
 from modsat.simplex import (
     FEASIBLE,
@@ -52,8 +52,12 @@ def test_system_validation():
 def test_system_constraints_must_be_a_tuple():
     # A list could take a row on a variable the system lacks after the range
     # check, and a generator would be used up by the first pass over it.
+    # Each element must be a LinearConstraint: a plain tuple, a dict or None
+    # used to fail on its missing .coefficients with an AttributeError.
     con = LinearConstraint({0: 1}, 1)
-    for constraints in ([con], (c for c in [con])):
+    for constraints in (
+        [con], (c for c in [con]), (({0: 1}, 1, 0),), (con, {0: 1}), (None,),
+    ):
         with pytest.raises(TypeError, match="constraints must be a tuple"):
             LpSystem(1, constraints)
 
@@ -122,13 +126,30 @@ def test_basic_maximization():
     assert max_violation(system, sol.point) <= 0
 
 
-def test_feasibility_only_returns_origin_when_trivial():
-    system = LpSystem(2, (LinearConstraint({0: 1}, 2),))
-    sol = solve(system)
-    assert sol.status == FEASIBLE
-    assert sol.point == (0, 0)
-    assert sol.objective_value is None
-    assert sol.pivot_steps == 0
+def test_feasibility_only_returns_origin_when_trivial(monkeypatch):
+    # No objective and no negative bound, as in every faithful relaxation:
+    # solve answers the origin itself, in the types a tableau's point has.
+    def refuse(*args):
+        raise AssertionError("a tableau was built")
+
+    monkeypatch.setattr(simplex._Tableau, "__init__", refuse)
+    systems = [
+        LpSystem(0, ()),
+        LpSystem(2, (LinearConstraint({0: 1}, 2),)),
+        LpSystem(
+            3, (LinearConstraint({}, 0), LinearConstraint({0: F(1, 3), 2: -2.5}, 1))
+        ),
+        relax.build_relaxation(random_kcnf(12, 51, 3, seed=7)),
+    ]
+    for system in systems:
+        for exact, zero in ((True, F(0)), (False, 0.0)):
+            sol = solve(system, exact=exact)
+            assert sol == LpSolution(FEASIBLE, (zero,) * system.num_vars, None, 0)
+            assert all(type(x) is type(zero) for x in sol.point)
+    assert repr(solve(systems[1])) == (
+        "LpSolution(status='feasible', point=(Fraction(0, 1), Fraction(0, 1)), "
+        "objective_value=None, pivot_steps=0, infeasibility=None)"
+    )
 
 
 def test_negative_bound_requires_phase_one():
