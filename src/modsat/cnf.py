@@ -10,9 +10,10 @@ import json
 import random
 import re
 from dataclasses import dataclass
-from functools import cached_property, partial
-from itertools import chain
+from functools import cached_property
+from itertools import chain, combinations, repeat
 from math import ceil, log
+from operator import eq
 from typing import Sequence
 
 from .errors import DimacsError, UnsupportedFormulaError
@@ -211,11 +212,13 @@ def _parse_canonical(text: str) -> tuple[int, tuple[Clause, ...]] | None:
         return None
     if max(codes) > num_vars or min(codes) < -num_vars:
         return None
-    columns = (codes[j :: k + 1] for j in range(k))
-    clauses = tuple(map(partial(tuple.__new__, Clause), zip(*columns)))
-    if sum(map(len, map(set, clauses))) != lines * k:  # a repeated literal
-        return None
-    return num_vars, clauses
+    columns = [codes[j :: k + 1] for j in range(k)]
+    clauses = tuple(map(tuple.__new__, repeat(Clause), zip(*columns)))
+    if k < 6:  # a repeated literal: k(k-1)/2 column passes, fewer than k sets
+        repeated = any(any(map(eq, *pair)) for pair in combinations(columns, 2))
+    else:  # the column pairs grow as k², one set per clause as k
+        repeated = sum(map(len, map(set, clauses))) != lines * k
+    return None if repeated else (num_vars, clauses)
 
 
 def write_dimacs(formula: Formula) -> str:

@@ -20,7 +20,7 @@ import io
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -173,11 +173,9 @@ def diff_run(
             raise UnsupportedFormulaError(
                 f"instance {instance_id!r}: {exc}"
             ) from None
-    records = []
-    for instance_id, formula in instances:
-        records.append(_run_one(instance_id, formula, config, oracle_budget))
-    config_echo = {**asdict(config), "oracle_budget": oracle_budget}
-    return DiffReport(config_echo, tuple(records))
+    records = tuple(_run_one(*item, config, oracle_budget) for item in instances)
+    config_echo = {**vars(config), "oracle_budget": oracle_budget}
+    return DiffReport(config_echo, records)
 
 
 def _run_one(
@@ -304,7 +302,7 @@ def gen_corpus(
     given.  The same arguments always produce byte-identical files.  Every
     formula is drawn before the directory is made, so arguments the
     generator refuses, two ratios that would share a file name and a ratio
-    that is not finite and positive raise ValueError before any write.
+    that is not a finite, positive int or float raise before any write.
     """
     if (num_clauses is None) == (ratios is None):
         raise ValueError("exactly one of num_clauses or ratios is required")
@@ -313,6 +311,8 @@ def gen_corpus(
     if count < 1:
         raise ValueError("count must be >= 1")
     if ratios is not None:
+        if odd := [ratio for ratio in ratios if type(ratio) not in (int, float)]:
+            raise TypeError(f"ratios must hold ints or floats, got {odd[0]!r}")
         if not all(0 < ratio < math.inf for ratio in ratios):
             raise ValueError(f"ratios must be finite and > 0, got {list(ratios)}")
         plan = [

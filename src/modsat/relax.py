@@ -15,6 +15,8 @@ width; affine mode bounds each clause by its own width.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from .cnf import Formula, require_uniform
 from .simplex import LinearConstraint, LpSystem
 
@@ -45,9 +47,18 @@ def build_relaxation(
     per variable.
     """
     _check_modes(negation_mode, bound_mode)
-    if negation_mode == FAITHFUL and formula.clauses:
-        require_uniform(formula, 1)
-    affine = negation_mode == AFFINE
+    if negation_mode == FAITHFUL:
+        # Clause column passes: sorted variables become keys of coefficient 1.
+        k = require_uniform(formula, 1) if formula.clauses else 0
+        columns = [[abs(code) - 1 for code in col] for col in zip(*formula.clauses)]
+        maps = list(map(dict.fromkeys, map(sorted, zip(*columns)), repeat(1)))
+        if min(map(len, maps), default=k) < k:  # x and not x: coefficient 2
+            for clause, row in zip(formula.clauses, maps):
+                both = set(clause).intersection(-code for code in clause)
+                row.update(dict.fromkeys((abs(code) - 1 for code in both), 2))
+        rows = zip(maps, repeat(k if bound_mode == BOUND_K else k - 1), repeat(0))
+        constraints = map(tuple.__new__, repeat(LinearConstraint), rows)
+        return LpSystem._make(formula.num_vars, tuple(constraints))
     constraints = []
     for clause in formula.clauses:
         bound = len(clause) if bound_mode == BOUND_K else len(clause) - 1
@@ -55,16 +66,12 @@ def build_relaxation(
         offset = 0
         for code in sorted(clause, key=abs):
             var = abs(code) - 1
-            if affine and code < 0:
-                coeffs[var] = coeffs.get(var, 0) - 1
-                offset += 1
-            else:
-                coeffs[var] = coeffs.get(var, 0) + 1
-        if len(coeffs) < len(clause):  # x and not x: an affine 0 drops out
+            offset += code < 0  # 1 - X_v: its 1 is folded into the offset
+            coeffs[var] = coeffs.get(var, 0) + (1 if code > 0 else -1)
+        if len(coeffs) < len(clause):  # x and not x: the 0 drops out
             coeffs = {var: c for var, c in coeffs.items() if c}
         row = (coeffs, bound - offset, offset)
         constraints.append(tuple.__new__(LinearConstraint, row))
-    if affine:
-        for var in range(formula.num_vars):
-            constraints.append(tuple.__new__(LinearConstraint, ({var: 1}, 1, 0)))
+    for var in range(formula.num_vars):
+        constraints.append(tuple.__new__(LinearConstraint, ({var: 1}, 1, 0)))
     return LpSystem._make(formula.num_vars, tuple(constraints))

@@ -1,6 +1,7 @@
 """Differential harness: classification, reports, corpus tooling."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -315,6 +316,17 @@ def test_gen_corpus_refused_arguments_leave_no_directory(
     out = tmp_path / "a" / "b"
     with pytest.raises(ValueError):
         gen_corpus(out, num_vars, 3, count=1, seed=0, num_clauses=num_clauses)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["3", None, True, Fraction(3)])
+def test_gen_corpus_ratios_must_be_ints_or_floats(tmp_path, bad):
+    # "3" and None failed on the comparison without naming ratios, and True
+    # was taken as ratio 1; the check comes before any draw or write.
+    out = tmp_path / "corpus"
+    message = f"ratios must hold ints or floats, got {bad!r}"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        gen_corpus(out, num_vars=8, width=3, count=1, seed=1, ratios=[2, bad])
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 """Relaxation construction."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,28 @@ def test_tautological_clause_cancels_to_constant_row():
     assert con.bound == 1
     assert con.offset == 1
     assert solve(system).status == FEASIBLE
+
+
+def test_faithful_rows_cost_what_the_clauses_cost():
+    # Two clauses over variable numbers up to 2,000,000: a table sized by
+    # num_vars would take tens of MiB.  Variable 3's x and not x share one
+    # key, with coefficient 2.
+    f = Formula(2_000_000, (clause_of(1_999_999, -2_000_000, 7), clause_of(3, -3, 5)))
+    tracemalloc.start()
+    try:
+        system = build_relaxation(f, FAITHFUL, BOUND_K)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert system.num_vars == 2_000_000
+    rows = [
+        (tuple(c.coefficients.items()), c.bound, c.offset) for c in system.constraints
+    ]
+    assert rows == [
+        (((6, 1), (1_999_998, 1), (1_999_999, 1)), 3, 0),
+        (((2, 2), (4, 1)), 3, 0),
+    ]
 
 
 @given(f=formulas(max_vars=5, max_clauses=5, min_width=2))
