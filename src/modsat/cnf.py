@@ -11,9 +11,8 @@ import random
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, repeat
+from itertools import chain, repeat
 from math import ceil, log
-from operator import eq
 from typing import Sequence
 
 from .errors import DimacsError, UnsupportedFormulaError
@@ -212,13 +211,11 @@ def _parse_canonical(text: str) -> tuple[int, tuple[Clause, ...]] | None:
         return None
     if max(codes) > num_vars or min(codes) < -num_vars:
         return None
-    columns = [codes[j :: k + 1] for j in range(k)]
+    columns = (codes[j :: k + 1] for j in range(k))
     clauses = tuple(map(tuple.__new__, repeat(Clause), zip(*columns)))
-    if k < 6:  # a repeated literal: k(k-1)/2 column passes, fewer than k sets
-        repeated = any(any(map(eq, *pair)) for pair in combinations(columns, 2))
-    else:  # the column pairs grow as k², one set per clause as k
-        repeated = sum(map(len, map(set, clauses))) != lines * k
-    return None if repeated else (num_vars, clauses)
+    if sum(map(len, map(set, clauses))) != lines * k:  # a repeated literal
+        return None
+    return num_vars, clauses
 
 
 def write_dimacs(formula: Formula) -> str:

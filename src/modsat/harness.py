@@ -173,9 +173,11 @@ def diff_run(
             raise UnsupportedFormulaError(
                 f"instance {instance_id!r}: {exc}"
             ) from None
-    records = tuple(_run_one(*item, config, oracle_budget) for item in instances)
+    records = []
+    for instance_id, formula in instances:
+        records.append(_run_one(instance_id, formula, config, oracle_budget))
     config_echo = {**vars(config), "oracle_budget": oracle_budget}
-    return DiffReport(config_echo, records)
+    return DiffReport(config_echo, tuple(records))
 
 
 def _run_one(

@@ -66,9 +66,12 @@ def build_relaxation(
         offset = 0
         for code in sorted(clause, key=abs):
             var = abs(code) - 1
-            offset += code < 0  # 1 - X_v: its 1 is folded into the offset
-            coeffs[var] = coeffs.get(var, 0) + (1 if code > 0 else -1)
-        if len(coeffs) < len(clause):  # x and not x: the 0 drops out
+            if code < 0:
+                coeffs[var] = coeffs.get(var, 0) - 1
+                offset += 1
+            else:
+                coeffs[var] = coeffs.get(var, 0) + 1
+        if len(coeffs) < len(clause):  # x and not x: an affine 0 drops out
             coeffs = {var: c for var, c in coeffs.items() if c}
         row = (coeffs, bound - offset, offset)
         constraints.append(tuple.__new__(LinearConstraint, row))

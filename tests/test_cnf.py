@@ -360,6 +360,7 @@ def _outcome(text):
 @example(text="p cnf 6 2\n1 2 3 4 0\n-5 6 -5 1 0\n")
 @example(text="p cnf 6 2\n1 2 3 4 0\n6 -2 3 -2 0\n")
 @example(text="p cnf 6 2\n1 2 3 4 5 0\n4 -1 2 4 6 0\n")
+@example(text="p cnf 6 2\n1 2 3 4 5 6 0\n-6 1 2 3 4 -6 0\n")
 def test_bulk_path_agrees_with_the_line_loop(text):
     # A leading comment line keeps any text off the bulk path.
     got, looped = _outcome(text), _outcome("c\n" + text)
@@ -368,35 +369,6 @@ def test_bulk_path_agrees_with_the_line_loop(text):
     else:
         message, line = got
         assert looped == (message, None if line is None else line + 1)
-
-
-@pytest.mark.parametrize(
-    "line,clause",
-    [
-        ("-5 6 -5 1 0", (-5, 6, -5, 1)),  # width 4, columns 0 and 2
-        ("6 -2 3 -2 0", (6, -2, 3, -2)),  # width 4, columns 1 and 3
-        ("4 -1 2 4 6 0", (4, -1, 2, 4, 6)),  # width 5, columns 0 and 3
-        ("-6 1 2 3 4 -6 0", (-6, 1, 2, 3, 4, -6)),  # width 6: one set per clause
-    ],
-)
-def test_bulk_path_finds_a_repeat_in_columns_apart(line, clause):
-    # Mutating near_canonical_texts' literals copies a code from its
-    # neighbour, so its repeats sit in adjacent columns only.
-    width = len(clause)
-    first = " ".join(map(str, range(1, width + 1)))
-    text = f"p cnf 6 3\n{first} 0\n{line}\n{first} 0\n"
-    assert _parse_canonical(text) is None
-    with pytest.raises(DimacsError) as err:
-        parse_dimacs(text)
-    assert str(err.value) == f"line 3: duplicate literal in clause {clause}"
-    assert err.value.line == 3
-
-
-def test_bulk_path_takes_wide_clauses():
-    # From width 6 on, repeats are looked for with one set per clause.
-    for width in (5, 6, 9):
-        f = random_kcnf(40, 30, width, width)
-        assert _parse_canonical(write_dimacs(f)) == (f.num_vars, f.clauses)
 
 
 def test_bulk_header_takes_only_ascii_spaces():
