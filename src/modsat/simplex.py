@@ -1,12 +1,13 @@
 """Linear programs over nonnegative variables with <= constraints, solved by
-a two-phase tableau simplex.
+a two-phase simplex on a condensed tableau: it stores only the nonbasic
+columns, so a pivot updates one column per nonbasic variable.
 
 Arithmetic is exact by default: Python ints over one common denominator, the
 basis determinant, with fraction-free pivots (Edmonds 1967; Bareiss 1968)
 whose divisions are all exact.  Float mode (``exact=False``), called only by
 perfbench's lp-pivot check and the tests, has a 1e-9 tolerance.  Pivot
-selection follows Bland's rule (lowest eligible index for entering, lowest
-basis index on ratio ties), which rules out cycling.  Rows with a negative
+selection follows Bland's rule (lowest eligible label for entering, lowest
+basis label on ratio ties), which rules out cycling.  Rows with a negative
 right-hand side get an artificial variable; phase 1 drives the artificial sum
 to zero or reports its positive minimum, the phase-1 infeasibility value.  A
 solve needing more than PIVOT_BUDGET pivots raises BudgetExceededError.
@@ -156,46 +157,48 @@ def _integer_scaling(values: Iterable) -> tuple[int, Callable]:
 
 
 class _Tableau:
-    """Mutable simplex tableau shared by both phases: per row the structural
-    columns, one slack per row and the right-hand side at index ``rhs``.  A
-    negative-bound row is negated and made basic in an artificial variable,
-    which never enters and so has no column, only the basis label nx + m + k
-    of the k-th such row (for phase 1's cost and Bland's ratio tie-break).
+    """Condensed tableau shared by both phases (the dictionary method's
+    layout; Chvátal 1983): ``cols`` holds the nonbasic columns, column by
+    column, and the right-hand side last, ``labels`` the label of each, and
+    ``zrow`` their reduced costs and the objective value.  A basic column is
+    d times a unit vector, so it is not stored; ``basis`` labels each row's.
+    Labels are structural 0..nx-1, slack nx + i of row i, and ``art`` + k for
+    the artificial of the k-th negative-bound row, which is negated and made
+    basic in it; an artificial never enters, so it never has a column.
 
-    Exact entries are ints, the true entry ``row[j] / d``, from data scaled
-    by the lcm ``scale`` of their denominators (the objective by its own):
-    one positive factor scales every slack, artificial and reduced cost, so
-    no pivot choice changes.  Float entries are true values, with d = 1."""
+    Exact entries are ints, the true entry ``x / d``, from data scaled by the
+    lcm ``scale`` of their denominators (the objective by its own): one
+    positive factor scales every slack, artificial and reduced cost, so no
+    pivot choice changes.  Float entries are true values, with d = 1."""
 
     def __init__(self, system: LpSystem, exact: bool):
         self.exact = exact
         self.zero, self.one = zero, one = (0, 1) if exact else (0.0, 1.0)
         self.tol = 0 if exact else FLOAT_TOL
         self.scaling = _integer_scaling if exact else lambda values: (1, float)
-        self.d = 1
+        self.d = one
         cons = system.constraints
-        self.nx, self.rhs = nx, rhs = system.num_vars, system.num_vars + len(cons)
+        m = len(cons)
+        self.nx, self.art = nx, art = system.num_vars, system.num_vars + m
         self.nart = self.pivots = 0
         data = [con.bound for con in cons], *[con.coefficients.values() for con in cons]
         self.scale, conv = self.scaling(itertools.chain(*data))
-        self.rows: list[list] = []
-        self.basis: list[int] = []
+        self.cols, self.labels = [[zero] * m for _ in range(nx)], [*range(nx)]
+        self.basis, rhs = [], []
         for i, con in enumerate(cons):
-            row = [zero] * (rhs + 1)
-            for var, c in con.coefficients.items():
-                row[var] = conv(c)
-            b, slack = conv(con.bound), one
+            b, sign = conv(con.bound), 1
             if con.bound < 0:  # scaling by a positive lcm keeps signs
-                # Only the structural columns: their float zeros turn to -0.0.
-                row[:nx] = [-c for c in row[:nx]]
-                b, slack = -b, -slack
-                self.basis.append(rhs + self.nart)
+                b, sign = -b, -1
+                self.cols.append([zero] * i + [-one] + [zero] * (m - 1 - i))
+                self.labels.append(nx + i)
+                self.basis.append(art + self.nart)
                 self.nart += 1
             else:
                 self.basis.append(nx + i)
-            row[nx + i] = slack
-            row[rhs] = b
-            self.rows.append(row)
+            for var, c in con.coefficients.items():
+                self.cols[var][i] = sign * conv(c)
+            rhs.append(b)
+        self.cols.append(rhs)
 
     def _value(self, x, scale: int = 1):
         """The true value of a tableau entry, undoing the exact scaling."""
@@ -204,69 +207,74 @@ class _Tableau:
     def _pivot(self, r: int, c: int) -> None:
         if self.pivots >= PIVOT_BUDGET:
             raise BudgetExceededError(f"simplex needs more than {PIVOT_BUDGET} pivots")
-        prow = self.rows[r]
-        p = prow[c]
+        cols, zrow, d = self.cols, self.zrow, self.d
+        fcol, fz, p = cols[c], zrow[c], cols[c][r]
+        leaving, self.basis[r] = self.basis[r], self.labels[c]
+        if leaving >= self.art:  # an artificial leaves no column behind
+            del cols[c], self.labels[c], zrow[c]
+        else:  # the leaving column, d * e_r, takes slot c and is updated below
+            cols[c] = [self.zero] * len(fcol)
+            cols[c][r], self.labels[c], zrow[c] = d, leaving, self.zero
         if self.exact:
-            if p < 0:  # only in drive-out; keeps d > 0
-                prow, p = [-y for y in prow], -p
-            d, self.d = self.d, p
-            # Where the pivot row is 0, (p * x - f * 0) // d is x rescaled
-            # from d to p: x itself when p == d, and 0 stays 0.
-            nonzero = [(j, y) for j, y in enumerate(prow) if y]
+            s = -1 if p < 0 else 1  # p < 0 only in drive-out; keeps d > 0
+            p = self.d = s * p
+            ys = [s * col[r] for col in cols]  # the new pivot row
 
-            def update(row):
-                f = row[c]
-                if f == 0 and p == d:
-                    return row
-                new = row[:] if p == d else [x and p * x // d for x in row]
-                for j, y in nonzero:
-                    new[j] = (p * row[j] - f * y) // d
+            def update(col, y):
+                if not y:  # (p * x - f * 0) // d: x rescaled from d to p
+                    return col if p == d else [p * x // d for x in col]
+                new = [(p * x - f * y) // d for x, f in zip(col, fcol)]
+                new[r] = y
                 return new
 
+            zrow = [(p * z - fz * y) // d for z, y in zip(zrow, ys)]
         else:
-            prow = [x / p for x in prow]
+            ys = [col[r] / p for col in cols]
 
-            def update(row):
-                f = row[c]
-                return row if f == 0 else [x - f * y for x, y in zip(row, prow)]
+            # Rows and a zrow with f == 0 stay as they are, signed zeros too.
+            def update(col, y):
+                new = [x - f * y if f else x for x, f in zip(col, fcol)]
+                new[r] = y
+                return new
 
-        self.rows = [prow if i == r else update(row) for i, row in enumerate(self.rows)]
-        self.zrow = update(self.zrow)
-        self.basis[r] = c
+            if fz:
+                zrow = [z - fz * y for z, y in zip(zrow, ys)]
+        self.cols = [update(col, y) for col, y in zip(cols, ys)]
+        self.zrow = zrow
         self.pivots += 1
 
     def _build_zrow(self, costs: list) -> None:
-        """zrow[j] = sum over basic rows of cost(basic) * row[j], minus cost(j)."""
-        zrow = [self.zero] * (self.rhs + 1)
+        """zrow[j] = sum over basic rows of cost(basic) * cols[j][row], minus
+        cost(labels[j]) * d; the right-hand side's entry has no cost."""
+        zrow = [self.zero] * len(self.cols)
         for i, bcol in enumerate(self.basis):
             cb = costs[bcol]
             if cb != 0:
-                zrow = [z + cb * x for z, x in zip(zrow, self.rows[i])]
-        for j in range(self.rhs):
-            zrow[j] -= costs[j] * self.d
-        self.zrow = zrow
+                zrow = [z + cb * col[i] for z, col in zip(zrow, self.cols)]
+        d = self.d
+        self.zrow = [z - costs[j] * d for z, j in zip(zrow, self.labels)] + zrow[-1:]
 
     def _iterate(self) -> bool:
         """Run pivots until optimal (True) or unbounded (False)."""
-        tol, basis = self.tol, self.basis
+        tol, basis, labels = self.tol, self.basis, self.labels
         while True:
-            zrow = self.zrow
-            enter = next((j for j in range(self.rhs) if zrow[j] < -tol), -1)
-            if enter < 0:
+            # Bland's rule: the lowest label with a negative reduced cost.
+            eligible = [j for j, z in zip(range(len(labels)), self.zrow) if z < -tol]
+            if not eligible:
                 return True
+            enter = min(eligible, key=labels.__getitem__)
+            col, rhs = self.cols[enter], self.cols[-1]
             leave = -1
-            for i, row in enumerate(self.rows):
-                a = row[enter]
+            for i, a in enumerate(col):
                 if a > tol:
                     if leave >= 0:
-                        # Bland's ratio test: row[rhs] / a against the best
-                        # so far; exact ratios cross-multiply, as a > 0.
-                        b, best = row[-1], self.rows[leave]
+                        # Bland's ratio test: rhs[i] / a against the best so
+                        # far; exact ratios cross-multiply, as a > 0.
                         if self.exact:
-                            lhs, rhs = b * best[enter], best[-1] * a
+                            lhs, best = rhs[i] * col[leave], rhs[leave] * a
                         else:
-                            lhs, rhs = b / a, best[-1] / best[enter]
-                        if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                            lhs, best = rhs[i] / a, rhs[leave] / col[leave]
+                        if lhs > best or (lhs == best and basis[i] > basis[leave]):
                             continue
                     leave = i
             if leave < 0:
@@ -278,39 +286,41 @@ class _Tableau:
         value when positive, else None with a basic feasible solution."""
         if self.nart == 0:
             return None
-        self._build_zrow([self.zero] * self.rhs + [-self.one] * self.nart)
+        self._build_zrow([self.zero] * self.art + [-self.one] * self.nart)
         self._iterate()
-        value = self.zrow[self.rhs]  # max of -(artificial sum), always <= 0
+        value = self.zrow[-1]  # max of -(artificial sum), always <= 0
         if value < -self.tol:
             return self._value(-value, self.scale)
-        # Drive any zero-level artificial out of the basis.  [A | +-I] has
-        # full row rank, so exact rows always have a pivot column; a float
-        # row whose entries all fall within FLOAT_TOL has none and is dropped.
+        # Drive any zero-level artificial out of the basis on the lowest label
+        # with a nonzero entry in its row.  [A | +-I] has full row rank, so
+        # exact rows always have one; a float row whose entries all fall
+        # within FLOAT_TOL has none and is dropped.
         for i in range(len(self.basis)):
-            if self.basis[i] >= self.rhs:
-                row = self.rows[i]  # each pivot replaces self.rows
-                col = next((j for j in range(self.rhs) if abs(row[j]) > self.tol), -1)
-                if col >= 0:
-                    self._pivot(i, col)
-        kept = [i for i, bcol in enumerate(self.basis) if bcol < self.rhs]
-        self.rows = [self.rows[i] for i in kept]
-        self.basis = [self.basis[i] for i in kept]
+            if self.basis[i] >= self.art:
+                cols = self.cols[:-1]  # each pivot replaces self.cols
+                js = [j for j, col in enumerate(cols) if abs(col[i]) > self.tol]
+                if js:
+                    self._pivot(i, min(js, key=self.labels.__getitem__))
+        kept = [i for i, bcol in enumerate(self.basis) if bcol < self.art]
+        if len(kept) < len(self.basis):
+            self.cols = [[col[i] for i in kept] for col in self.cols]
+            self.basis = [self.basis[i] for i in kept]
         return None
 
     def phase_two(self, objective: Sequence) -> Fraction | float | None:
         """Maximize ``objective``: its optimal value, or None if unbounded."""
         cost_scale, conv = self.scaling(objective)
-        slacks = self.rhs - self.nx
+        slacks = self.art - self.nx
         self._build_zrow([conv(c) for c in objective] + [self.zero] * slacks)
         if self._iterate():
-            return self._value(self.zrow[self.rhs], cost_scale)
+            return self._value(self.zrow[-1], cost_scale)
         return None
 
     def point(self) -> tuple:
         xs = [self._value(self.zero)] * self.nx
         for i, bcol in enumerate(self.basis):
             if bcol < self.nx:
-                xs[bcol] = self._value(self.rows[i][self.rhs])
+                xs[bcol] = self._value(self.cols[-1][i])
         return tuple(xs)
 
 

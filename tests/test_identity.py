@@ -93,14 +93,25 @@ def simplex_systems() -> list[LpSystem]:
     return systems
 
 
-def n20_system() -> LpSystem:
-    """The affine k-1 max-sum relaxation of the seed-7 n=20 3-CNF at ratio
-    4.27: 105 rows and 140 exact pivots, far more per solve than the
-    systems above."""
+def _seed7_system(num_vars: int) -> LpSystem:
+    """The affine k-1 max-sum relaxation of the seed-7 3-CNF on ``num_vars``
+    variables at ratio 4.27."""
     config = pipeline.PipelineConfig(
         relax.AFFINE, relax.BOUND_K_MINUS_1, 2, pipeline.OBJECTIVE_MAX_SUM
     )
-    return pipeline.build_system(random_kcnf(20, 85, 3, 7), config)
+    num_clauses = round(4.27 * num_vars)
+    return pipeline.build_system(random_kcnf(num_vars, num_clauses, 3, 7), config)
+
+
+def n20_system() -> LpSystem:
+    """105 rows and 140 exact pivots, far more per solve than the systems
+    above."""
+    return _seed7_system(20)
+
+
+def n40_system() -> LpSystem:
+    """211 rows and 627 exact pivots."""
+    return _seed7_system(40)
 
 
 def relaxation_formulas() -> list[Formula]:
@@ -203,6 +214,10 @@ SIMPLEX_SHA256 = {
 # the pivot row's nonzero columns
 N20_SIMPLEX_SHA256 = "019d3e14cf49b63ad98e648a08902e838b32ef743f6d455722cd01e6e001b50b"
 
+# repr of the exact solve of n40_system(), taken before the tableau stored
+# only its nonbasic columns
+N40_SIMPLEX_SHA256 = "ab1cd925fd1ae57cb296beb788164d36ef3a77e85b1ae8768178cc2871984ca3"
+
 
 # relaxation_rows per (negation mode, bound mode)
 RELAXATION_SHA256 = {
@@ -235,6 +250,12 @@ def test_n20_simplex_output_is_pinned():
     sol = solve(n20_system())
     assert sol.pivot_steps == 140
     assert _sha256(repr(sol)) == N20_SIMPLEX_SHA256
+
+
+def test_n40_simplex_output_is_pinned():
+    sol = solve(n40_system())
+    assert sol.pivot_steps == 627
+    assert _sha256(repr(sol)) == N40_SIMPLEX_SHA256
 
 
 @pytest.mark.parametrize("negation,bound", list(RELAXATION_SHA256))

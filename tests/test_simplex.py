@@ -256,8 +256,8 @@ def test_fraction_data_values_are_in_the_systems_own_units():
 def test_drive_out_on_a_negative_pivot_entry(monkeypatch):
     # One of the seeded general systems of tests/test_identity.py: the
     # equality x1 - x2 = 2 leaves a zero-level artificial in the basis after
-    # phase 1, and the first nonzero entry of its row, where drive-out
-    # pivots, is negative.
+    # phase 1, and the entry of its row under the lowest nonbasic label with
+    # one, where drive-out pivots, is negative.
     system = LpSystem(
         3,
         (LinearConstraint({1: -1, 2: 1}, -2), LinearConstraint({1: 1, 2: -1}, 2)),
@@ -267,7 +267,7 @@ def test_drive_out_on_a_negative_pivot_entry(monkeypatch):
     pivot = simplex._Tableau._pivot
 
     def spy(tab, r, c):
-        entries.append(tab.rows[r][c])
+        entries.append(tab.cols[c][r])
         pivot(tab, r, c)
 
     monkeypatch.setattr(simplex._Tableau, "_pivot", spy)
@@ -276,26 +276,42 @@ def test_drive_out_on_a_negative_pivot_entry(monkeypatch):
     assert sol == LpSolution(FEASIBLE, (0, 2, 0), -6, 3)
 
 
+def _dense(tab):
+    """The full tableau a condensed one stands for: per row the columns of
+    labels 0..art-1 and the right-hand side, the objective row last.  A
+    basic label's column is d * e_i and its reduced cost 0."""
+    slot = {label: j for j, label in enumerate(tab.labels)}
+    labels = range(tab.art)
+    rows = [
+        [tab.cols[slot[j]][i] if j in slot else tab.d * (b == j) for j in labels]
+        + [tab.cols[-1][i]]
+        for i, b in enumerate(tab.basis)
+    ]
+    zrow = [tab.zrow[slot[j]] if j in slot else 0 for j in labels]
+    return [*rows, zrow + tab.zrow[-1:]]
+
+
 def test_exact_pivot_is_d_times_a_gauss_jordan_pivot(monkeypatch):
-    # After each exact pivot, every row (the objective row last) is the new
-    # determinant times the Fraction Gauss-Jordan pivot of the previous
-    # tableau's true entries, the old rows over the old determinant d.
-    # Where f or y is 0, x - f * y is x, compared in ints to spare time.
+    # After each exact pivot, every row of the full tableau (the objective
+    # row last) is the new determinant times the Fraction Gauss-Jordan pivot
+    # of the previous tableau's true entries, the old rows over the old
+    # determinant d.  Where f or y is 0, x - f * y is x, compared in ints to
+    # spare time.
     cases = set()
     pivot = simplex._Tableau._pivot
 
     def check(tab, r, c):
-        p, d = tab.rows[r][c], tab.d
-        before = [*tab.rows, tab.zrow]
+        p, d, col = tab.cols[c][r], tab.d, tab.labels[c]
+        before = _dense(tab)
         pivot(tab, r, c)
         q = tab.d
         assert q == abs(p)
         prow = [F(y, p) for y in before[r]]  # (y / d) / (p / d)
-        for i, (old, new) in enumerate(zip(before, [*tab.rows, tab.zrow])):
+        for i, (old, new) in enumerate(zip(before, _dense(tab), strict=True)):
             if i == r:
                 assert new == [q * y for y in prow]
                 continue
-            f = F(old[c], d)
+            f = F(old[col], d)
             if p == d:
                 cases.add("p == d, f == 0" if f == 0 else "p == d, f != 0")
             else:
@@ -309,6 +325,30 @@ def test_exact_pivot_is_d_times_a_gauss_jordan_pivot(monkeypatch):
     for system in [*simplex_systems(), n20_system()]:
         solve(system)
     assert cases == {"p == d, f == 0", "p == d, f != 0", "p != d", "negative pivot"}
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_condensed_layout_holds_after_every_pivot(monkeypatch, exact):
+    # Every structural and slack label is stored or basic, exactly once; an
+    # artificial is only ever basic; each stored column, the right-hand side
+    # included, has one entry per row, and zrow one per stored column.
+    pivots = 0
+    pivot = simplex._Tableau._pivot
+
+    def check(tab, r, c):
+        nonlocal pivots
+        pivot(tab, r, c)
+        pivots += 1
+        labels = sorted(j for j in [*tab.labels, *tab.basis] if j < tab.art)
+        assert labels == list(range(tab.art))
+        assert max(tab.labels, default=-1) < tab.art
+        assert len(tab.cols) == len(tab.labels) + 1 == len(tab.zrow)
+        assert all(len(column) == len(tab.basis) for column in tab.cols)
+
+    monkeypatch.setattr(simplex._Tableau, "_pivot", check)
+    for system in [*simplex_systems(), n20_system()]:
+        solve(system, exact=exact)
+    assert pivots > 140
 
 
 def test_pivot_budget(monkeypatch, tmp_path, capsys):
