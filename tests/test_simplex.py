@@ -331,7 +331,7 @@ def test_exact_pivot_is_d_times_a_gauss_jordan_pivot(monkeypatch):
 def test_condensed_layout_holds_after_every_pivot(monkeypatch, exact):
     # Every structural and slack label is stored or basic, exactly once; an
     # artificial is only ever basic; each stored column, the right-hand side
-    # included, has one entry per row, and zrow one per stored column.
+    # included, has one entry per row and one entry in zrow.
     pivots = 0
     pivot = simplex._Tableau._pivot
 
