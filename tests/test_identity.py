@@ -93,25 +93,23 @@ def simplex_systems() -> list[LpSystem]:
     return systems
 
 
-def _seed7_system(num_vars: int) -> LpSystem:
-    """The affine k-1 max-sum relaxation of the seed-7 3-CNF on ``num_vars``
-    variables at ratio 4.27."""
+def n20_system() -> LpSystem:
+    """The affine k-1 max-sum relaxation of the seed-7 n=20 3-CNF at ratio
+    4.27: 105 rows and 140 exact pivots, far more per solve than the
+    systems above."""
     config = pipeline.PipelineConfig(
         relax.AFFINE, relax.BOUND_K_MINUS_1, 2, pipeline.OBJECTIVE_MAX_SUM
     )
-    num_clauses = round(4.27 * num_vars)
-    return pipeline.build_system(random_kcnf(num_vars, num_clauses, 3, 7), config)
-
-
-def n20_system() -> LpSystem:
-    """105 rows and 140 exact pivots, far more per solve than the systems
-    above."""
-    return _seed7_system(20)
+    return pipeline.build_system(random_kcnf(20, 85, 3, 7), config)
 
 
 def n40_system() -> LpSystem:
-    """211 rows and 627 exact pivots."""
-    return _seed7_system(40)
+    """The same relaxation of the seed-7 n=40 3-CNF at ratio 4.27: 211 rows
+    and 627 exact pivots."""
+    config = pipeline.PipelineConfig(
+        relax.AFFINE, relax.BOUND_K_MINUS_1, 2, pipeline.OBJECTIVE_MAX_SUM
+    )
+    return pipeline.build_system(random_kcnf(40, 171, 3, 7), config)
 
 
 def relaxation_formulas() -> list[Formula]:
