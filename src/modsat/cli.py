@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from fractions import Fraction
 from pathlib import Path
 
 from . import harness, oracle, pipeline, relax, simplex
@@ -27,20 +28,6 @@ from .mvlogic import (
 )
 
 
-def _num(x):
-    return x if x is None or isinstance(x, int) else str(x)
-
-
-def _solution_dict(sol: simplex.LpSolution) -> dict:
-    return {
-        "status": sol.status,
-        "point": None if sol.point is None else [_num(x) for x in sol.point],
-        "objective_value": _num(sol.objective_value),
-        "pivot_steps": sol.pivot_steps,
-        "infeasibility": _num(sol.infeasibility),
-    }
-
-
 def _emit(text: str, out: str | None) -> None:
     """Write ``text`` to the file ``out``, or to stdout when it is unset."""
     if out:
@@ -49,8 +36,15 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _exact(x) -> str:
+    """JSON form of an exact number: ``Fraction`` values print as ``"1/2"``."""
+    if isinstance(x, Fraction):
+        return str(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def _print_json(data, out: str | None) -> None:
-    _emit(json.dumps(data, indent=2, sort_keys=True) + "\n", out)
+    _emit(json.dumps(data, indent=2, sort_keys=True, default=_exact) + "\n", out)
 
 
 def _load_formula(path: str):
@@ -63,8 +57,8 @@ def _parse_assignment(text: str) -> tuple[bool, ...]:
     return tuple(ch == "1" for ch in text)
 
 
-def _assignment_str(values) -> str:
-    return "".join("1" if v else "0" for v in values)
+def _assignment_str(values) -> str | None:
+    return None if values is None else "".join("1" if v else "0" for v in values)
 
 
 def _comma_list(text: str, flag: str, noun: str, convert) -> list:
@@ -202,21 +196,16 @@ def cmd_lp(args) -> int:
             "constraints": [
                 {
                     "coefficients": {
-                        str(var + 1): _num(c)
-                        for var, c in con.coefficients.items()
+                        str(var + 1): c for var, c in con.coefficients.items()
                     },
-                    "bound": _num(con.bound),
+                    "bound": con.bound,
                     "offset": con.offset,
                 }
                 for con in system.constraints
             ],
-            "objective": (
-                None
-                if system.objective is None
-                else [_num(c) for c in system.objective]
-            ),
+            "objective": system.objective,
         },
-        "solution": _solution_dict(sol),
+        "solution": asdict(sol),
     }
     _print_json(data, args.out)
     return 0
@@ -226,21 +215,9 @@ def cmd_solve(args) -> int:
     formula = _load_formula(args.file)
     config = _config_from_args(args)
     result = pipeline.run(formula, config)
-    _print_json(
-        {
-            "claimed_status": result.claimed_status,
-            "assignment": (
-                None if result.rounded is None else _assignment_str(result.rounded)
-            ),
-            "anomalies": [
-                {"var": a.var, "raw": _num(a.raw), "rounded": a.rounded}
-                for a in result.anomalies
-            ],
-            "lp": _solution_dict(result.lp),
-            "steps": result.steps,
-        },
-        args.out,
-    )
+    data = asdict(result)
+    data["assignment"] = _assignment_str(data.pop("rounded"))
+    _print_json(data, args.out)
     return 0
 
 
@@ -252,18 +229,11 @@ def cmd_oracle(args) -> int:
         else:
             verdict = oracle.dpll_sat(formula, node_budget=args.budget)
     except BudgetExceededError as exc:
-        data = {"status": "budget_exceeded", "detail": str(exc)}
+        data = {"status": harness.BUDGET_EXCEEDED, "detail": str(exc)}
     else:
         oracle.check_witness(formula, verdict, args.method)
-        data = {
-            "status": verdict.status,
-            "witness": (
-                None
-                if verdict.witness is None
-                else _assignment_str(verdict.witness)
-            ),
-            "nodes_explored": verdict.nodes_explored,
-        }
+        data = asdict(verdict)
+        data["witness"] = _assignment_str(verdict.witness)
     _print_json(data, args.out)
     return 0
 

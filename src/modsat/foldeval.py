@@ -56,8 +56,9 @@ def fold_eval(formula: Formula, assignment: Sequence[bool]) -> FoldResult:
     """Evaluate by folding clause sums through the join table.
 
     The fold is right-nested: join(s1, join(s2, ... join(s_{m-1}, s_m))).
-    With a single clause no join is needed and the sum is normalized to 0/1
-    directly.  Returns the final value plus exact operation counts.
+    It starts from s_m mapped to 0/1, which the join reads the same way as
+    s_m, since the table only asks whether an operand is 0.  Returns the
+    final value plus exact operation counts.
     """
     width = require_uniform(formula, 2)
     require_assignment(formula, assignment)
@@ -79,17 +80,13 @@ def fold_eval(formula: Formula, assignment: Sequence[bool]) -> FoldResult:
                 total += value
                 additions += 1
         sums.append(total)
-    if len(sums) == 1:
-        value = 0 if sums[0] == 0 else 1
-    else:
-        acc = sums[-1]
-        for j in range(len(sums) - 2, -1, -1):
-            # row and column offset arithmetic for the lookup
-            additions += 2
-            table_calls += 1
-            acc = table[sums[j]][acc]
-        value = acc
-    return FoldResult(value, OpCount(additions, table_calls, negations))
+    acc = 0 if sums[-1] == 0 else 1
+    for j in range(len(sums) - 2, -1, -1):
+        # row and column offset arithmetic for the lookup
+        additions += 2
+        table_calls += 1
+        acc = table[sums[j]][acc]
+    return FoldResult(acc, OpCount(additions, table_calls, negations))
 
 
 def closed_form(formula: Formula, assignment: Sequence[bool]) -> int:

@@ -20,7 +20,7 @@ import io
 import json
 import math
 import random
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -249,7 +249,7 @@ def fit_exponent(xs: Sequence, ys: Sequence) -> float | None:
     return sxy / sxx
 
 
-def bench_eval(width: int, sizes: Sequence[int], seed: int) -> dict:
+def bench_eval(width: int, sizes: Iterable[int], seed: int) -> dict:
     """Count fold evaluation's operations across clause counts at fixed width,
     over max(4 * width, 24) variables.
 
@@ -257,6 +257,7 @@ def bench_eval(width: int, sizes: Sequence[int], seed: int) -> dict:
     per-size counts, the exact-match flag against the shape-derived
     prediction, and the fitted log-log exponent of the additions.
     """
+    sizes = tuple(sizes)
     if not sizes:
         raise ValueError("at least one size is required")
     nv = max(4 * width, 24)
@@ -270,9 +271,7 @@ def bench_eval(width: int, sizes: Sequence[int], seed: int) -> dict:
         rows.append(
             {
                 "clauses": m,
-                "additions": result.ops.additions,
-                "table_calls": result.ops.table_calls,
-                "negations": result.ops.negations,
+                **asdict(result.ops),
                 "matches_prediction": result.ops == predicted_ops(formula),
             }
         )
@@ -295,7 +294,7 @@ def gen_corpus(
     count: int,
     seed: int,
     num_clauses: int | None = None,
-    ratios: Sequence[float] | None = None,
+    ratios: Iterable[float] | None = None,
 ) -> list[Path]:
     """Write a deterministic corpus of DIMACS files.
 
@@ -303,8 +302,9 @@ def gen_corpus(
     round(ratio * num_vars) per ratio, ``count`` instances each) must be
     given.  The same arguments always produce byte-identical files.  Every
     formula is drawn before the directory is made, so arguments the
-    generator refuses, two ratios that would share a file name and a ratio
-    that is not a finite, positive int or float raise before any write.
+    generator refuses, an empty ``ratios``, two ratios that would share a
+    file name and a ratio that is not a finite, positive int or float raise
+    before any write.
     """
     if (num_clauses is None) == (ratios is None):
         raise ValueError("exactly one of num_clauses or ratios is required")
@@ -313,6 +313,9 @@ def gen_corpus(
     if count < 1:
         raise ValueError("count must be >= 1")
     if ratios is not None:
+        ratios = tuple(ratios)
+        if not ratios:
+            raise ValueError("ratios must list at least one ratio")
         if odd := [ratio for ratio in ratios if type(ratio) not in (int, float)]:
             raise TypeError(f"ratios must hold ints or floats, got {odd[0]!r}")
         if not all(0 < ratio < math.inf for ratio in ratios):

@@ -381,6 +381,52 @@ def test_bench_names_a_bad_size_item(capsys, sizes, item):
     )
 
 
+# The JSON of lp, solve, oracle and bench lists the fields of LpSolution,
+# PipelineResult, RoundAnomaly, OracleVerdict and OpCount, so a field added
+# to one of them changes these key sets.
+SOLUTION_KEYS = {"status", "point", "objective_value", "pivot_steps", "infeasibility"}
+
+
+def test_lp_json_keys(contra_file, capsys):
+    data = run_json(capsys, ["lp", contra_file])
+    assert set(data) == {"system", "solution"}
+    assert set(data["system"]) == {"num_vars", "constraints", "objective"}
+    assert {frozenset(c) for c in data["system"]["constraints"]} == {
+        frozenset({"coefficients", "bound", "offset"})
+    }
+    assert set(data["solution"]) == SOLUTION_KEYS
+
+
+def test_solve_json_keys(tmp_path, capsys):
+    path = write_cnf(tmp_path, "a.cnf", "p cnf 4 2\n-4 2 -1 0\n3 2 4 0\n")
+    argv = ["solve", path, "--bound", "k-1", "--round-base", "k"]
+    data = run_json(capsys, argv + ["--objective", "max-sum"])
+    assert set(data) == {"claimed_status", "assignment", "anomalies", "lp", "steps"}
+    assert set(data["lp"]) == SOLUTION_KEYS
+    assert [set(a) for a in data["anomalies"]] == [{"var", "raw", "rounded"}] * 2
+
+
+def test_oracle_json_keys(contra_file, simple_file, capsys):
+    verdict = {"status", "witness", "nodes_explored"}
+    assert set(run_json(capsys, ["oracle", simple_file])) == verdict
+    assert set(run_json(capsys, ["oracle", contra_file])) == verdict
+    data = run_json(capsys, ["oracle", contra_file, "--budget", "0"])
+    assert data == {
+        "status": "budget_exceeded",
+        "detail": "DPLL node budget of 0 exceeded",
+    }
+
+
+def test_bench_json_keys(capsys):
+    data = run_json(capsys, ["bench", "--width", "3", "--sizes", "10,20"])
+    assert set(data) == {
+        "width", "num_vars", "seed", "sizes", "rows", "additions_exponent"
+    }
+    assert [set(r) for r in data["rows"]] == [
+        {"clauses", "additions", "table_calls", "negations", "matches_prediction"}
+    ] * 2
+
+
 def test_out_flag_writes_file(simple_file, tmp_path, capsys):
     target = tmp_path / "verdict.json"
     assert main(["oracle", simple_file, "--out", str(target)]) == 0

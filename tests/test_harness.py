@@ -250,6 +250,16 @@ def test_bench_eval_is_deterministic():
     assert bench_eval(3, [100, 200], seed=9) == bench_eval(3, [100, 200], seed=9)
 
 
+def test_bench_eval_reads_sizes_once():
+    # sizes is read once: a generator's report lists the sizes it gave, and
+    # an empty iterator is refused like an empty list.
+    assert bench_eval(3, (m for m in [100, 200]), seed=9) == bench_eval(
+        3, [100, 200], seed=9
+    )
+    with pytest.raises(ValueError, match="at least one size"):
+        bench_eval(3, iter([]), seed=9)
+
+
 def test_gen_corpus_deterministic_bytes(tmp_path):
     a = gen_corpus(tmp_path / "a", num_vars=8, width=3, count=3, seed=4, num_clauses=12)
     b = gen_corpus(tmp_path / "b", num_vars=8, width=3, count=3, seed=4, num_clauses=12)
@@ -276,6 +286,23 @@ def test_gen_corpus_ratio_naming(tmp_path):
     ]
     f = parse_dimacs(paths[0].read_text())
     assert f.num_clauses == round(4.27 * 10)
+
+
+def test_gen_corpus_reads_ratios_once(tmp_path):
+    listed = gen_corpus(tmp_path / "a", 8, 3, 1, seed=1, ratios=[3.0, 4.0])
+    drawn = gen_corpus(
+        tmp_path / "b", 8, 3, 1, seed=1, ratios=(r for r in [3.0, 4.0])
+    )
+    assert [p.name for p in drawn] == [p.name for p in listed]
+    assert [p.read_bytes() for p in drawn] == [p.read_bytes() for p in listed]
+
+
+@pytest.mark.parametrize("empty", [list, iter], ids=["list", "iterator"])
+def test_gen_corpus_refuses_an_empty_ratio_list(tmp_path, empty):
+    out = tmp_path / "corpus"
+    with pytest.raises(ValueError, match="at least one ratio"):
+        gen_corpus(out, 8, 3, 1, seed=1, ratios=empty([]))
+    assert not out.exists()
 
 
 def test_gen_corpus_argument_validation(tmp_path):

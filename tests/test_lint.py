@@ -1,5 +1,5 @@
 """Every name a module of src/modsat or tests imports is read in that module,
-only the checked producers call the unchecked constructors, and only the
+only the checked producers read the unchecked constructors, and only the
 benchmark reads the alias oracle.verify."""
 
 import ast
@@ -27,8 +27,9 @@ def test_no_unused_imports(path):
 
 
 
-class _MakeCalls(ast.NodeVisitor):
-    """(file, enclosing function, receiver) of every ``X._make(...)`` call."""
+class _UncheckedConstructions(ast.NodeVisitor):
+    """(file, enclosing function, construction) of every read of an
+    ``X._make`` or of ``tuple.__new__``, called or passed on."""
 
     def __init__(self, path):
         self.path, self.scope, self.found = path, ["<module>"], set()
@@ -40,24 +41,28 @@ class _MakeCalls(ast.NodeVisitor):
 
     visit_AsyncFunctionDef = visit_FunctionDef
 
-    def visit_Call(self, node):
-        if isinstance(node.func, ast.Attribute) and node.func.attr == "_make":
-            receiver = ast.unparse(node.func.value)
-            self.found.add((self.path.name, self.scope[-1], receiver))
+    def visit_Attribute(self, node):
+        construction = ast.unparse(node)
+        if node.attr == "_make" or construction == "tuple.__new__":
+            self.found.add((self.path.name, self.scope[-1], construction))
         self.generic_visit(node)
 
 
 def test_only_checked_producers_skip_the_constructor_checks():
-    # Formula._make and LpSystem._make skip every check: each caller checks
-    # its data itself, and no other code calls a _make.
-    calls = set()
+    # Formula._make, LpSystem._make and tuple.__new__ on a Clause or a
+    # LinearConstraint skip every check: each caller checks its data itself,
+    # and no other code reads them.
+    found = set()
     for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
-        visitor = _MakeCalls(path)
+        visitor = _UncheckedConstructions(path)
         visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
-        calls |= visitor.found
-    assert calls == {
-        ("cnf.py", "parse_dimacs", "Formula"),
-        ("relax.py", "build_relaxation", "LpSystem"),
+        found |= visitor.found
+    assert found == {
+        ("cnf.py", "clause_of", "tuple.__new__"),
+        ("cnf.py", "_parse_canonical", "tuple.__new__"),
+        ("cnf.py", "parse_dimacs", "Formula._make"),
+        ("relax.py", "build_relaxation", "tuple.__new__"),
+        ("relax.py", "build_relaxation", "LpSystem._make"),
     }
 
 

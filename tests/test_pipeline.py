@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from modsat import relax, simplex
 from modsat.cnf import Formula, clause_of, evaluate
@@ -205,6 +205,26 @@ def test_unsat_claim_unreachable_for_valid_input(f):
         result = run(f, config)
         assert result.claimed_status == SAT_CLAIM
         assert result.claimed_status != UNSAT_CLAIM
+
+
+ORIGIN_CONFIGS = [
+    PipelineConfig(negation_mode=negation, bound_mode=bound, rounding_base=base)
+    for negation, bound in (("faithful", "k"), ("faithful", "k-1"), ("affine", "k"))
+    for base in (2, "k")
+]
+
+
+@given(f=st.integers(2, 4).flatmap(lambda w: formulas(max_vars=6, width=w)))
+def test_origin_configurations_answer_at_the_origin(f):
+    # No row of these six relaxations has a negative bound, so solve returns
+    # the origin without a pivot, whatever the formula: the candidate is
+    # all-true. The default configuration is one of them.
+    assert PipelineConfig() in ORIGIN_CONFIGS
+    for config in ORIGIN_CONFIGS:
+        result = run(f, config)
+        assert result.lp.pivot_steps == 0
+        assert result.lp.point == (0,) * f.num_vars
+        assert result.rounded == (True,) * f.num_vars
 
 
 def test_infeasible_relaxation_yields_unsat_claim(monkeypatch):
