@@ -162,9 +162,12 @@ def diff_run(
 ) -> DiffReport:
     """Run the pipeline and the DPLL oracle over a corpus, in corpus order.
 
-    Instances must have uniform clause width >= 2.  Per-instance failures
-    are captured in the record's error field; the batch never aborts.
+    Instances must have uniform clause width >= 2, and the oracle budget
+    must be an int >= 0; either is checked before any instance runs.
+    Per-instance failures are captured in the record's error field; the
+    batch never aborts.
     """
+    oracle.check_node_budget(oracle_budget)
     instances = tuple(instances)
     for instance_id, formula in instances:
         try:
@@ -302,9 +305,10 @@ def gen_corpus(
     round(ratio * num_vars) per ratio, ``count`` instances each) must be
     given.  The same arguments always produce byte-identical files.  Every
     formula is drawn before the directory is made, so arguments the
-    generator refuses, an empty ``ratios``, two ratios that would share a
-    file name and a ratio that is not a finite, positive int or float raise
-    before any write.
+    generator refuses, a ``num_clauses`` that is not an int >= 1 (no corpus
+    consumer takes a formula without clauses), an empty ``ratios``, two
+    ratios that would share a file name and a ratio that is not a finite,
+    positive int or float raise before any write.
     """
     if (num_clauses is None) == (ratios is None):
         raise ValueError("exactly one of num_clauses or ratios is required")
@@ -312,6 +316,11 @@ def gen_corpus(
         raise TypeError(f"count must be an int, got {count!r}")
     if count < 1:
         raise ValueError("count must be >= 1")
+    if num_clauses is not None:
+        if type(num_clauses) is not int:
+            raise TypeError(f"num_clauses must be an int, got {num_clauses!r}")
+        if num_clauses < 1:
+            raise ValueError(f"num_clauses must be >= 1, got {num_clauses}")
     if ratios is not None:
         ratios = tuple(ratios)
         if not ratios:

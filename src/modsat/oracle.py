@@ -7,15 +7,35 @@ first witness.
 DPLL holds the clause set by clause index.  Set up once per formula,
 occ[code] is the bitmask of the clauses holding a literal, and each
 clause's count of free literals is bit-sliced across the clauses, one int
-per bit of the widest clause.  A node is a few ints: the live (not yet
-satisfied) clauses, the count slices, the variables assigned, those set
-true (the witness reads the rest as false) and the batch of literals to
-set next.  Setting a literal clears its clauses from the live mask with
-one AND and subtracts one from the count of each live clause holding its
-negation with one borrow chain over the slices; a live clause counting 0
-is a conflict, one counting 1 a unit, whose one free literal is read off
-its codes.  One pass over the free variables then finds which literals
-still occur in live clauses.
+per bit of the widest clause, built from one mask of clauses per width.
+The N variables that occur are numbered 0..N-1 in order, so every mask of
+variables is N bits wide whatever numbers the formula uses, and the witness
+is mapped back once, at the end.  A node is a few ints: the live (not yet
+satisfied) clauses, the count slices, the occurrence fields, the guards of
+the free variables, the variables assigned, those set true (the witness
+reads the rest as false) and the batch of literals to set next.  Setting a
+literal clears its clauses from the live mask and from the fields with one
+AND each, drops its variable's guard with one XOR, and subtracts one from
+the count of each live clause holding its negation with one borrow chain
+over the slices; a live clause counting 0 is a conflict, one counting 1 a
+unit, whose one free literal is read off its codes.
+
+The occurrence fields test every literal at once, with the broadword
+methods of Knuth (TAOCP 4A, 7.1.3).  One int holds a field per literal: W
+bits, one per clause that holds the literal, with a guard bit on top, and
+the fields of v and -v side by side at stride S = W + 1.  Adding W ones to
+every field carries into a guard exactly when its field is not empty, that
+is when its literal still occurs in a live clause.  Masked with the guards
+of v's fields for the free variables v, the sum gives the variables whose
+positive literal occurs; shifted down by S, those whose negative literal
+occurs.  Their XOR is the pure variables, and when no literal is pure the
+two are equal and their lowest bit is the variable to branch on: a handful
+of int operations per round, not a pass over the variables.  A field
+numbers its bits by clause index while the packed size 2N(m + 1) is at most
+FIELD_INDEX_MAX_BITS: W is m and the cut of a literal is its clause mask
+times one bit per field, one multiply.  Above it, bit r of a field is its
+literal's r-th clause: W is the largest occurrence count, the fields take
+2N(W + 1) bits, and one pass over the clauses builds the cuts.
 
 The rules are those of Davis, Logemann and Loveland: set all units in one
 batch (opposite units or an emptied clause is a conflict), then all pure
@@ -37,6 +57,17 @@ from .errors import BudgetExceededError, CertificateError
 
 BRUTE_FORCE_MAX_VARS = 26
 DEFAULT_NODE_BUDGET = 10**7
+FIELD_INDEX_MAX_BITS = 4096
+"""The largest packed size 2N(m + 1), in bits, at which ``dpll_sat``
+numbers a field's bits by clause index rather than by occurrence.
+
+Clause index costs one multiply per literal to set up and occurrence ranks a
+pass over the clauses, while the ranked fields are narrower in the search.
+Measured in process (Python 3.11, paired runs, clause index : ranks): 0.69
+on the n=12, m=51 formulas of ``diff-transition`` (1,248 bits), 1.05 on the
+n=24, m=102 ones of ``dpll-hard`` (4,944 bits), and 0.74-1.05 s against
+0.24-0.31 s on the W-oracle formula (54,720 bits).  The n=2400 depth test
+formula would need 4,800 clause-index cuts of 1.4 MB each."""
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -97,36 +128,96 @@ def brute_force_sat(formula: Formula) -> OracleVerdict:
     return OracleVerdict(UNSAT, None, tried)
 
 
+def check_node_budget(node_budget: int) -> None:
+    """Refuse a node budget that is not an int >= 0 (a bool is not an int)."""
+    if type(node_budget) is not int:
+        raise TypeError(f"node budget must be an int, got {node_budget!r}")
+    if node_budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {node_budget}")
+
+
 def dpll_sat(
     formula: Formula, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> OracleVerdict:
     """DPLL search.  Raises BudgetExceededError when the node budget runs out."""
+    check_node_budget(node_budget)
     n = formula.num_vars
+    clauses = formula.clauses
+    everything = (1 << len(clauses)) - 1
     # occ[code]: the clauses holding literal code (negative codes index from
     # the end).  Bit j of a clause's count of free literals is its bit in
-    # counts[j].  The clauses of one literal are the root's units.
+    # counts[j], built from one mask of clauses per width.
     occ = [0] * (2 * n + 1)
-    counts = [0] * max(map(len, formula.clauses), default=1).bit_length()
-    up = un = 0
-    for i, clause in enumerate(formula.clauses):
+    for i, clause in enumerate(clauses):
         bit = 1 << i
         for code in clause:
             occ[code] |= bit
-        for j in range(len(counts)):
-            if len(clause) >> j & 1:
-                counts[j] |= bit
-        if len(clause) == 1:
-            if clause[0] > 0:
-                up |= 1 << clause[0] - 1
-            else:
-                un |= 1 << -clause[0] - 1
-    variables = [  # those that occur: n masks would take n * n / 16 bytes
-        (1 << v - 1, occ[v], occ[-v]) for v in range(1, n + 1) if occ[v] | occ[-v]
-    ]
-    stack = [((1 << len(formula.clauses)) - 1, counts, 0, 0, up, un)]
+    if formula.uniform_width:
+        widths = {formula.uniform_width: everything}
+    else:
+        widths = {}  # clause width: its clauses
+        for i, clause in enumerate(clauses):
+            widths[len(clause)] = widths.get(len(clause), 0) | 1 << i
+    counts = [0] * max(widths, default=1).bit_length()
+    for width, mask in widths.items():
+        for j in range(width.bit_length()):
+            if width >> j & 1:
+                counts[j] |= mask
+    # Dense numbers 0..N-1 for the variables that occur, in order.  Field
+    # 2d belongs to literal v and field 2d + 1 to -v, for v's number d.
+    variables = [v for v in range(1, n + 1) if occ[v] | occ[-v]]
+    bit_of = {}  # code: the dense bit of its variable
+    for d, v in enumerate(variables):
+        bit_of[v] = bit_of[-v] = 1 << d
+    lits = [occ[code] for v in variables for code in (v, -v)]
+    by_index = len(lits) * (len(clauses) + 1) <= FIELD_INDEX_MAX_BITS
+    width = len(clauses) if by_index else max(map(int.bit_count, lits))
+    stride = width + 1
+    rep = ((1 << len(lits) * stride) - 1) // ((1 << stride) - 1)  # bit 0 of each field
+    if by_index:  # bit i of a field is clause i
+        fields = 0
+        for i, o in enumerate(lits):
+            fields |= o << i * stride
+        cuts = [~(o * rep) for o in lits]
+    else:  # bit r of a field is its literal's r-th clause
+        at = {}  # code: the bit of its next clause in its field
+        for d, v in enumerate(variables):
+            at[v] = 1 << 2 * d * stride
+            at[-v] = at[v] << stride
+        fields = -sum(at.values())
+        cut = dict.fromkeys(at, 0)
+        for clause in clauses:
+            held = 0  # the clause's bit in the field of each of its literals
+            for code in clause:
+                bit = at[code]
+                held |= bit
+                at[code] = bit << 1
+            for code in clause:
+                cut[code] |= held
+        fields += sum(at.values())
+        cuts = [~cut[code] for v in variables for code in (v, -v)]
+    fill = rep * ((1 << width) - 1)
+    guards = [1 << 2 * d * stride + width for d in range(len(variables))]
+    free = sum(guards)
+    bit_of_guard = {guard.bit_length(): 1 << d for d, guard in enumerate(guards)}
+    # Setting a literal, by its variable's dense number: the guard, the cut,
+    # the clauses it leaves alive and the clauses of its negation.
+    set_p = list(zip(guards, cuts[0::2], [~o for o in lits[0::2]], lits[1::2]))
+    set_n = list(zip(guards, cuts[1::2], [~o for o in lits[1::2]], lits[0::2]))
+    up = un = 0
+    unit = widths.get(1, 0)
+    while unit:  # the root's units
+        low = unit & -unit
+        unit ^= low
+        code = clauses[low.bit_length() - 1][0]
+        if code > 0:
+            up |= bit_of[code]
+        else:
+            un |= bit_of[code]
+    stack = [(everything, counts, fields, free, 0, 0, up, un)]
     nodes = 0
     while stack:
-        alive, counts, assigned, true, up, un = stack.pop()
+        alive, counts, fields, free, assigned, true, up, un = stack.pop()
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(
@@ -135,58 +226,63 @@ def dpll_sat(
         while not up & un:  # opposite units are a conflict
             assigned |= up | un
             true |= up
-            falsified = []
-            for batch, sign in ((up, 1), (un, -1)):
+            counts = counts[:]
+            for batch, table in ((up, set_p), (un, set_n)):
                 while batch:
                     low = batch & -batch
                     batch ^= low
-                    code = sign * low.bit_length()
-                    alive &= ~occ[code]
-                    falsified.append(occ[-code])
-            counts = counts[:]
-            for borrow in falsified:
-                borrow &= alive
-                j = 0
-                while borrow:  # subtract one from the count of each clause
-                    bits = counts[j]
-                    counts[j] = bits ^ borrow
-                    borrow &= ~bits
-                    j += 1
+                    guard, cut, keep, borrow = table[low.bit_length() - 1]
+                    free ^= guard
+                    fields &= cut
+                    alive &= keep
+                    borrow &= alive
+                    j = 0
+                    while borrow:  # subtract one from the count of each clause
+                        bits = counts[j]
+                        counts[j] = bits ^ borrow
+                        borrow &= ~bits
+                        j += 1
             high = 0
             for bits in counts[1:]:
                 high |= bits
             if alive & ~(counts[0] | high):
                 break  # a clause lost every literal
             unit = alive & counts[0] & ~high
-            pos = neg = up = un = 0
+            up = un = 0
             while unit:  # the one free literal of each unit clause
                 low = unit & -unit
                 unit ^= low
-                for code in formula.clauses[low.bit_length() - 1]:
-                    bit = 1 << abs(code) - 1
+                for code in clauses[low.bit_length() - 1]:
+                    bit = bit_of[code]
                     if not assigned & bit:
                         if code > 0:
                             up |= bit
                         else:
                             un |= bit
                         break
-            for bit, p, q in variables:
-                if not assigned & bit:
-                    if p & alive:
-                        pos |= bit
-                    if q & alive:
-                        neg |= bit
-            pure_p = pos & ~neg
-            pure_n = neg & ~pos
-            if pure_p | pure_n:
-                up |= pure_p
-                un |= pure_n
+            carry = fields + fill  # a guard bit set: its field is not empty
+            pos = carry & free
+            neg = carry >> stride & free
+            pure = pos ^ neg
+            if pure:
+                while pure:
+                    low = pure & -pure
+                    pure ^= low
+                    if pos & low:
+                        up |= bit_of_guard[low.bit_length()]
+                    else:
+                        un |= bit_of_guard[low.bit_length()]
             elif not up | un:
                 if not alive:
-                    witness = tuple(bool(true >> i & 1) for i in range(n))
-                    return OracleVerdict(SAT, witness, nodes)
-                bit = (pos | neg) & -(pos | neg)  # lowest remaining variable
-                stack.append((alive, counts, assigned, true, bit, 0))
-                stack.append((alive, counts, assigned, true, 0, bit))  # first
+                    witness = bytearray(n)
+                    while true:
+                        low = true & -true
+                        true ^= low
+                        witness[variables[low.bit_length() - 1] - 1] = 1
+                    return OracleVerdict(SAT, tuple(map(bool, witness)), nodes)
+                bit = bit_of_guard[(pos & -pos).bit_length()]  # lowest one left
+                # the false child goes on top, to be searched first
+                stack.append((alive, counts, fields, free, assigned, true, bit, 0))
+                stack.append((alive, counts, fields, free, assigned, true, 0, bit))
                 break
     return OracleVerdict(UNSAT, None, nodes)

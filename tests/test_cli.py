@@ -294,6 +294,29 @@ def test_oracle_budget_exit_zero(tmp_path, capsys):
     assert data["status"] == "budget_exceeded"
 
 
+def test_negative_budgets_are_one_error_line(contra_file, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_cnf(corpus, "contra.cnf", Path(contra_file).read_text())
+    out = tmp_path / "report"
+    for argv in (
+        ["oracle", contra_file, "--budget", "-1"],
+        ["diff", str(corpus), "--oracle-budget", "-1", "--out", str(out)],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: node budget must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+def test_gen_refuses_zero_clauses(tmp_path, capsys):
+    argv = ["gen", "--vars", "3", "--width", "3", "--clauses", "0"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: num_clauses must be >= 1, got 0\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_oracle_deep_formula(tmp_path, capsys):
     # 1,200 disjoint pairs (a or b)(not a or not b): a search 1,200 levels
     # deep, which once overflowed the interpreter stack.

@@ -86,6 +86,15 @@ def test_diff_run_rejects_bad_instances():
         diff_run([("mixed", Formula(3, (clause_of(1, 2), clause_of(1, 2, 3))))])
 
 
+@pytest.mark.parametrize(
+    "budget, error", [(-1, ValueError), (True, TypeError), ("3", TypeError)]
+)
+def test_diff_run_refuses_a_bad_oracle_budget_before_any_record(budget, error):
+    # Checked per instance, the error would become one error record each.
+    with pytest.raises(error, match="node budget must be"):
+        diff_run(small_corpus(), oracle_budget=budget)
+
+
 def test_faithful_mode_always_has_an_unsound_claim_on_contradiction():
     report = diff_run([("contra", contradiction_2cnf())])
     assert report.aggregates()["counts"]["unsound_sat_claim"] >= 1
@@ -343,6 +352,15 @@ def test_gen_corpus_refused_arguments_leave_no_directory(
     out = tmp_path / "a" / "b"
     with pytest.raises(ValueError):
         gen_corpus(out, num_vars, 3, count=1, seed=0, num_clauses=num_clauses)
+    assert not out.exists()
+
+
+def test_gen_corpus_refuses_zero_clauses(tmp_path):
+    # Every corpus consumer needs a clause, so a corpus of empty formulas
+    # would be written only to be refused whole by diff.
+    out = tmp_path / "corpus"
+    with pytest.raises(ValueError, match="num_clauses must be >= 1, got 0"):
+        gen_corpus(out, 8, 3, count=1, seed=0, num_clauses=0)
     assert not out.exists()
 
 

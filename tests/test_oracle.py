@@ -3,10 +3,12 @@ the reference evaluator on every verdict and witness."""
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modsat import oracle
 from modsat.cnf import Formula, clause_of, evaluate, random_kcnf
 from modsat.errors import BudgetExceededError
 from modsat.oracle import (
@@ -181,6 +183,71 @@ def test_dpll_w_oracle_node_count():
     # The n=80 instance the oracle's speed is quoted on.
     verdict = dpll_sat(random_kcnf(80, 341, 3, seed=5))
     assert verdict == OracleVerdict(UNSAT, None, 8891)
+
+
+@pytest.mark.parametrize(
+    "limit", [0, 10**5], ids=["occurrence-rank", "clause-index"]
+)
+def test_both_field_numberings_hold_the_pins(monkeypatch, limit):
+    # The size rule picks one numbering per formula.  Forcing each one on
+    # every pinned formula (10**5 is past the W-oracle's 2 * 80 * 342 =
+    # 54,720 bits, the largest pinned size) holds both to every digest.
+    monkeypatch.setattr(oracle, "FIELD_INDEX_MAX_BITS", limit)
+    test_dpll_outputs_are_pinned(
+        12, 51, 500, 364, 6345,
+        "37fc5cdff09280d93614598c3b26582c33d28290f721831429a233260a8ff08a",
+    )
+    test_dpll_outputs_are_pinned(
+        24, 102, 400, 263, 18076,
+        "ce66ee9a8d0e2f35644de4d0b388fc7993843b6940180610688f8801a6ee43b6",
+    )
+    test_dpll_outputs_on_mixed_formulas_are_pinned()
+    test_dpll_w_oracle_node_count()
+
+
+def _shifted(formula, by):
+    """The formula with every variable v renamed v + by."""
+    return Formula(formula.num_vars + by, tuple(
+        clause_of(*(code + by if code > 0 else code - by for code in clause))
+        for clause in formula.clauses
+    ))
+
+
+@pytest.mark.parametrize("seed", [5, 9])
+def test_dpll_search_does_not_depend_on_variable_numbers(seed):
+    # Variables 1,000,001 to 1,000,060: the same search as over 1 to 60,
+    # with the witness shifted (seed 5 is unsat, seed 9 sat).
+    f = random_kcnf(60, 240, 3, seed)
+    plain, shifted = dpll_sat(f), dpll_sat(_shifted(f, 10**6))
+    assert shifted.status == plain.status
+    assert shifted.nodes_explored == plain.nodes_explored
+    if plain.witness is None:
+        assert shifted.witness is None
+    else:
+        assert shifted.witness == (False,) * 10**6 + plain.witness
+
+
+def test_dpll_memory_does_not_grow_with_variable_numbers():
+    # Dense numbering keeps every mask of variables 60 bits wide, so the
+    # traced peak is the occurrence list that the 1,000,060 declared
+    # variables size: 15.4 MiB measured.  With masks as wide as the variable
+    # numbers the peak reached 27.1 MiB within the first 20 nodes.
+    f = _shifted(random_kcnf(60, 240, 3, 5), 10**6)
+    tracemalloc.start()
+    try:
+        dpll_sat(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
+@pytest.mark.parametrize(
+    "budget, error", [(-1, ValueError), (True, TypeError), (1.0, TypeError)]
+)
+def test_dpll_refuses_a_budget_that_is_not_a_count(budget, error):
+    with pytest.raises(error, match="node budget must be"):
+        dpll_sat(CONTRADICTION, node_budget=budget)
 
 
 def test_verdict_shape():
