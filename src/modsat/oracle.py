@@ -21,21 +21,25 @@ over the slices; a live clause counting 0 is a conflict, one counting 1 a
 unit, whose one free literal is read off its codes.
 
 The occurrence fields test every literal at once, with the broadword
-methods of Knuth (TAOCP 4A, 7.1.3).  One int holds a field per literal: W
-bits, one per clause that holds the literal, with a guard bit on top, and
-the fields of v and -v side by side at stride S = W + 1.  Adding W ones to
-every field carries into a guard exactly when its field is not empty, that
-is when its literal still occurs in a live clause.  Masked with the guards
-of v's fields for the free variables v, the sum gives the variables whose
-positive literal occurs; shifted down by S, those whose negative literal
-occurs.  Their XOR is the pure variables, and when no literal is pure the
-two are equal and their lowest bit is the variable to branch on: a handful
-of int operations per round, not a pass over the variables.  A field
-numbers its bits by clause index while the packed size 2N(m + 1) is at most
-FIELD_INDEX_MAX_BITS: W is m and the cut of a literal is its clause mask
-times one bit per field, one multiply.  Above it, bit r of a field is its
-literal's r-th clause: W is the largest occurrence count, the fields take
-2N(W + 1) bits, and one pass over the clauses builds the cuts.
+methods of Knuth (TAOCP 4A, 7.1.3).  One int holds a field per literal,
+each with a guard bit on top: the fields of the positive literals fill its
+low half, in the order of their variables, and the field of -v sits S bits
+above that of v, S being the size of the half.  Adding ones across every
+field carries into a guard exactly when its field is not empty, that is
+when its literal still occurs in a live clause.  Masked with the guards of
+the free variables, the sum gives the variables whose positive literal
+occurs; shifted down by S, those whose negative literal occurs.  Their XOR
+is the pure variables, and when no literal is pure the two are equal and
+their lowest bit is the variable to branch on: a handful of int operations
+per round, not a pass over the variables.  A field numbers its bits by
+clause index while the packed size 2N(m + 1) is at most
+FIELD_INDEX_MAX_BITS: every field is m bits wide and the cut of a literal
+is its clause mask times one bit per field, one multiply.  Above it, bit r
+of a field is its literal's r-th clause, and the two fields of v are as
+wide as the larger occurrence count of v and -v, so the packed size is at
+most 2(L + N) for L literal occurrences however often one literal occurs;
+one pass over the clauses builds the cuts.  A cut is as wide as the
+fields, so the 2N cuts take 2N times the packed size.
 
 The rules are those of Davis, Logemann and Loveland: set all units in one
 batch (opposite units or an emptied clause is a conflict), then all pure
@@ -63,11 +67,11 @@ numbers a field's bits by clause index rather than by occurrence.
 
 Clause index costs one multiply per literal to set up and occurrence ranks a
 pass over the clauses, while the ranked fields are narrower in the search.
-Measured in process (Python 3.11, paired runs, clause index : ranks): 0.69
-on the n=12, m=51 formulas of ``diff-transition`` (1,248 bits), 1.05 on the
-n=24, m=102 ones of ``dpll-hard`` (4,944 bits), and 0.74-1.05 s against
-0.24-0.31 s on the W-oracle formula (54,720 bits).  The n=2400 depth test
-formula would need 4,800 clause-index cuts of 1.4 MB each."""
+Measured in process (Python 3.11, paired runs, clause index : ranks): 0.70
+on the n=12, m=51 formulas of ``diff-transition`` (1,248 bits), 1.02-1.03
+on the n=24, m=102 ones of ``dpll-hard`` (4,944 bits), and 0.58-0.62 s
+against 0.20-0.23 s on the W-oracle formula (54,720 bits).  The n=2400
+depth test formula would need 4,800 clause-index cuts of 1.4 MB each."""
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -145,67 +149,74 @@ def dpll_sat(
     clauses = formula.clauses
     everything = (1 << len(clauses)) - 1
     # occ[code]: the clauses holding literal code (negative codes index from
-    # the end).  Bit j of a clause's count of free literals is its bit in
-    # counts[j], built from one mask of clauses per width.
+    # the end).  by_width[w]: the clauses of width w.  Bit j of a clause's
+    # count of free literals is its bit in counts[j], built from them.
     occ = [0] * (2 * n + 1)
+    by_width = [0] * (max(map(len, clauses), default=1) + 1)
     for i, clause in enumerate(clauses):
         bit = 1 << i
         for code in clause:
             occ[code] |= bit
-    if formula.uniform_width:
-        widths = {formula.uniform_width: everything}
-    else:
-        widths = {}  # clause width: its clauses
-        for i, clause in enumerate(clauses):
-            widths[len(clause)] = widths.get(len(clause), 0) | 1 << i
-    counts = [0] * max(widths, default=1).bit_length()
-    for width, mask in widths.items():
+        by_width[len(clause)] |= bit
+    counts = [0] * (len(by_width) - 1).bit_length()
+    for width, mask in enumerate(by_width):
         for j in range(width.bit_length()):
             if width >> j & 1:
                 counts[j] |= mask
-    # Dense numbers 0..N-1 for the variables that occur, in order.  Field
-    # 2d belongs to literal v and field 2d + 1 to -v, for v's number d.
+    # Dense numbers 0..N-1 for the variables that occur, in order.  Field d
+    # of the low half belongs to v and field d of the high half, stride bits
+    # above it, to -v.  Both are m bits wide by clause index, else as wide
+    # as the larger occurrence count of v and -v, under one guard bit.
     variables = [v for v in range(1, n + 1) if occ[v] | occ[-v]]
-    bit_of = {}  # code: the dense bit of its variable
-    for d, v in enumerate(variables):
-        bit_of[v] = bit_of[-v] = 1 << d
     lits = [occ[code] for v in variables for code in (v, -v)]
     by_index = len(lits) * (len(clauses) + 1) <= FIELD_INDEX_MAX_BITS
-    width = len(clauses) if by_index else max(map(int.bit_count, lits))
-    stride = width + 1
-    rep = ((1 << len(lits) * stride) - 1) // ((1 << stride) - 1)  # bit 0 of each field
+    bit_of = {}  # code: the dense bit of its variable
+    bit_of_guard = {}  # a guard's bit_length(): the dense bit of its variable
+    starts = []  # the first bit of each low field
+    guards = []
+    stride = 0
+    for d, v in enumerate(variables):
+        bit_of[v] = bit_of[-v] = 1 << d
+        starts.append(stride)
+        stride += len(clauses) if by_index else max(
+            occ[v].bit_count(), occ[-v].bit_count()
+        )
+        guards.append(1 << stride)
+        stride += 1
+        bit_of_guard[stride] = 1 << d
+    free = sum(guards)
+    first = sum(1 << start for start in starts)
+    rep = first | first << stride  # bit 0 of each field
+    fill = (free - first) * ((1 << stride) + 1)
     if by_index:  # bit i of a field is clause i
         fields = 0
-        for i, o in enumerate(lits):
-            fields |= o << i * stride
+        for start, o, o_neg in zip(starts, lits[0::2], lits[1::2]):
+            fields |= o << start | o_neg << start + stride
         cuts = [~(o * rep) for o in lits]
     else:  # bit r of a field is its literal's r-th clause
-        at = {}  # code: the bit of its next clause in its field
-        for d, v in enumerate(variables):
-            at[v] = 1 << 2 * d * stride
-            at[-v] = at[v] << stride
-        fields = -sum(at.values())
+        at = {}  # code: the bit position of its next clause in its field
+        for start, v in zip(starts, variables):
+            at[v] = start
+            at[-v] = start + stride
         cut = dict.fromkeys(at, 0)
         for clause in clauses:
             held = 0  # the clause's bit in the field of each of its literals
             for code in clause:
-                bit = at[code]
-                held |= bit
-                at[code] = bit << 1
+                p = at[code]
+                held |= 1 << p
+                at[code] = p + 1
             for code in clause:
                 cut[code] |= held
-        fields += sum(at.values())
-        cuts = [~cut[code] for v in variables for code in (v, -v)]
-    fill = rep * ((1 << width) - 1)
-    guards = [1 << 2 * d * stride + width for d in range(len(variables))]
-    free = sum(guards)
-    bit_of_guard = {guard.bit_length(): 1 << d for d, guard in enumerate(guards)}
+        # each field: ones from its first bit up to its literal's count
+        fields = sum(1 << p for p in at.values()) - rep
+        # popped, so that the cuts are never held twice
+        cuts = [~cut.pop(code) for v in variables for code in (v, -v)]
     # Setting a literal, by its variable's dense number: the guard, the cut,
     # the clauses it leaves alive and the clauses of its negation.
     set_p = list(zip(guards, cuts[0::2], [~o for o in lits[0::2]], lits[1::2]))
     set_n = list(zip(guards, cuts[1::2], [~o for o in lits[1::2]], lits[0::2]))
     up = un = 0
-    unit = widths.get(1, 0)
+    unit = by_width[1]
     while unit:  # the root's units
         low = unit & -unit
         unit ^= low
