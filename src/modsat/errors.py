@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types and the budget check."""
 
 
 class DimacsError(ValueError):
@@ -27,3 +27,12 @@ class CertificateError(RuntimeError):
 class UnsupportedFormulaError(ValueError):
     """Raised when a formula falls outside what an operation supports,
     for example mixed clause widths where a uniform width is required."""
+
+
+def check_budget(budget: int, unit: str) -> None:
+    """Refuse a budget of ``unit``s that is not an int >= 0 (a bool is not
+    an int)."""
+    if type(budget) is not int:
+        raise TypeError(f"{unit} budget must be an int, got {budget!r}")
+    if budget < 0:
+        raise ValueError(f"{unit} budget must be >= 0, got {budget}")

@@ -34,7 +34,12 @@ from .cnf import (
     require_uniform,
     write_dimacs,
 )
-from .errors import BudgetExceededError, DimacsError, UnsupportedFormulaError
+from .errors import (
+    BudgetExceededError,
+    DimacsError,
+    UnsupportedFormulaError,
+    check_budget,
+)
 from .foldeval import fold_eval, predicted_ops
 
 CATEGORIES = (
@@ -167,7 +172,7 @@ def diff_run(
     Per-instance failures are captured in the record's error field; the
     batch never aborts.
     """
-    oracle.check_node_budget(oracle_budget)
+    check_budget(oracle_budget, "node")
     instances = tuple(instances)
     for instance_id, formula in instances:
         try:

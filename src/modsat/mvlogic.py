@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, check_budget
 
 # Cap on how many tables an enumeration may yield.
 DEFAULT_TABLE_BUDGET = 10**6
@@ -128,11 +128,12 @@ def _shift_tuples(n: int, family: str, budget: int) -> Iterator[tuple]:
     """Every tuple of shifts for one table of ``family`` at arity ``n``, in
     lexicographic order: n cells for "unary", n*n for "binary".
 
-    Raises BudgetExceededError when the n**cells tables exceed the budget.
-    The running product stops growing once it passes the budget, so the
-    check costs a few multiplications at any arity.
+    Raises BudgetExceededError when the n**cells tables exceed the budget,
+    which must be an int >= 0.  The running product stops growing once it
+    passes the budget, so the check costs a few multiplications at any arity.
     """
     _check_arity(n)
+    check_budget(budget, "table")
     cells = n * n if family == "binary" else n
     total = 1
     for _ in range(cells):

@@ -70,6 +70,13 @@ def test_tables_budget_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_tables_refuses_a_negative_budget(capsys):
+    assert main(["tables", "--arity", "2", "--budget", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: table budget must be >= 0, got -1\n"
+
+
 def test_gen_is_deterministic(tmp_path, capsys):
     argv = lambda sub: [
         "gen", "--vars", "6", "--width", "3", "--count", "2",

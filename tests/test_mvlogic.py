@@ -172,6 +172,17 @@ def test_enumeration_budget():
     assert len(list(enumerate_unary(4, budget=256))) == 256
 
 
+@pytest.mark.parametrize("enumerate_tables", [enumerate_unary, enumerate_binary])
+@pytest.mark.parametrize(
+    "budget, error", [(-1, ValueError), (True, TypeError), (1.0, TypeError)]
+)
+def test_enumeration_refuses_a_budget_that_is_not_a_count(
+    enumerate_tables, budget, error
+):
+    with pytest.raises(error, match="table budget must be"):
+        next(enumerate_tables(2, budget))
+
+
 def test_budget_refuses_huge_arities_without_counting():
     # The table count at these arities has thousands to millions of digits;
     # the budget check must not build or format it.
