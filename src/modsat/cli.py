@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import harness, oracle, pipeline, relax, simplex
 from .cnf import evaluate, parse_dimacs
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, check_budget
 from .foldeval import fold_eval
 from .mvlogic import (
     DEFAULT_TABLE_BUDGET,
@@ -223,6 +223,7 @@ def cmd_solve(args) -> int:
 
 def cmd_oracle(args) -> int:
     formula = _load_formula(args.file)
+    check_budget(args.budget, "node")  # for brute force too, which takes none
     try:
         if args.method == "brute":
             verdict = oracle.brute_force_sat(formula)

@@ -4,13 +4,18 @@ columns, so a pivot updates one column per nonbasic variable.
 
 Arithmetic is exact by default: Python ints over one common denominator, the
 basis determinant, with fraction-free pivots (Edmonds 1967; Bareiss 1968)
-whose divisions are all exact.  Float mode (``exact=False``), called only by
-perfbench's lp-pivot check and the tests, has a 1e-9 tolerance.  Pivot
-selection follows Bland's rule (lowest eligible label for entering, lowest
-basis label on ratio ties), which rules out cycling.  Rows with a negative
-right-hand side get an artificial variable; phase 1 drives the artificial sum
-to zero or reports its positive minimum, the phase-1 infeasibility value.  A
-solve needing more than PIVOT_BUDGET pivots raises BudgetExceededError.
+whose divisions are all exact.  An exact pivot is one pass over the stored
+columns that takes each column's pivot-row entry, reduced cost and entries
+together, with the cheapest update the old and new determinants allow: a
+column with pivot-row entry 0 is kept or rescaled, and x - f * y (both
+determinants 1) or x - f * y // d (equal ones) replace (p * x - f * y) // d.
+Float mode (``exact=False``), called only by perfbench's lp-pivot check and
+the tests, has a 1e-9 tolerance.  Pivot selection follows Bland's rule
+(lowest eligible label for entering, lowest basis label on ratio ties), which
+rules out cycling.  Rows with a negative right-hand side get an artificial
+variable; phase 1 drives the artificial sum to zero or reports its positive
+minimum, the phase-1 infeasibility value.  A solve needing more than
+PIVOT_BUDGET pivots raises BudgetExceededError.
 """
 
 from __future__ import annotations
@@ -218,16 +223,24 @@ class _Tableau:
         if self.exact:
             s = -1 if p < 0 else 1  # p < 0 only in drive-out; keeps d > 0
             p = self.d = s * p
-            ys = [s * col[r] for col in cols]  # the new pivot row
-
-            def update(col, y):
-                if not y:  # (p * x - f * 0) // d: x rescaled from d to p
-                    return col if p == d else [p * x // d for x in col]
-                new = [(p * x - f * y) // d for x, f in zip(col, fcol)]
-                new[r] = y
-                return new
-
-            zrow = [(p * z - fz * y) // d for z, y in zip(zrow, ys)]
+            # One pass: each column's new pivot-row entry y, reduced cost and
+            # entries (p * x - f * y) // d, in the cheapest exact form.
+            for j, col in enumerate(cols):
+                y, z = s * col[r], zrow[j]
+                if not y:  # x rescaled from d to p, kept when they are equal
+                    if p != d:
+                        cols[j], zrow[j] = [p * x // d for x in col], p * z // d
+                    continue
+                if p != d:
+                    col = [(p * x - f * y) // d for x, f in zip(col, fcol)]
+                    zrow[j] = (p * z - fz * y) // d
+                elif d == 1:
+                    col = [x - f * y for x, f in zip(col, fcol)]
+                    zrow[j] = z - fz * y
+                else:  # d divides d * x - f * y, so it divides f * y
+                    col = [x - f * y // d for x, f in zip(col, fcol)]
+                    zrow[j] = z - fz * y // d
+                col[r], cols[j] = y, col
         else:
             ys = [col[r] / p for col in cols]
 
@@ -239,8 +252,8 @@ class _Tableau:
 
             if fz:
                 zrow = [z - fz * y for z, y in zip(zrow, ys)]
-        self.cols = [update(col, y) for col, y in zip(cols, ys)]
-        self.zrow = zrow
+            self.cols = [update(col, y) for col, y in zip(cols, ys)]
+            self.zrow = zrow
         self.pivots += 1
 
     def _build_zrow(self, costs: list) -> None:
@@ -297,7 +310,7 @@ class _Tableau:
         # within FLOAT_TOL has none and is dropped.
         for i in range(len(self.basis)):
             if self.basis[i] >= self.art:
-                cols = self.cols[:-1]  # each pivot replaces self.cols
+                cols = self.cols[:-1]  # each pivot replaces the columns
                 js = [j for j, col in enumerate(cols) if abs(col[i]) > self.tol]
                 if js:
                     self._pivot(i, min(js, key=self.labels.__getitem__))

@@ -317,6 +317,14 @@ def test_negative_budgets_are_one_error_line(contra_file, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_brute_force_oracle_refuses_a_negative_budget(contra_file, capsys):
+    # Brute force takes no budget, but refuses a bad one as DPLL does.
+    assert main(["oracle", contra_file, "--method", "brute", "--budget", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: node budget must be >= 0, got -1\n"
+
+
 def test_gen_refuses_zero_clauses(tmp_path, capsys):
     argv = ["gen", "--vars", "3", "--width", "3", "--clauses", "0"]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1

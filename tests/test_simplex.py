@@ -296,16 +296,23 @@ def test_exact_pivot_is_d_times_a_gauss_jordan_pivot(monkeypatch):
     # row last) is the new determinant times the Fraction Gauss-Jordan pivot
     # of the previous tableau's true entries, the old rows over the old
     # determinant d.  Where f or y is 0, x - f * y is x, compared in ints to
-    # spare time.
+    # spare time.  The labels name the update each stored column takes: the
+    # determinant cases of a column with y != 0 and the rescale of one with
+    # y == 0 under a new determinant.
     cases = set()
     pivot = simplex._Tableau._pivot
 
     def check(tab, r, c):
         p, d, col = tab.cols[c][r], tab.d, tab.labels[c]
         before = _dense(tab)
+        ys = [column[r] for column in tab.cols]
         pivot(tab, r, c)
         q = tab.d
         assert q == abs(p)
+        if q == d:
+            cases.add("p == d == 1" if d == 1 else "p == d > 1")
+        elif 0 in ys:
+            cases.add("y == 0, p != d")
         prow = [F(y, p) for y in before[r]]  # (y / d) / (p / d)
         for i, (old, new) in enumerate(zip(before, _dense(tab), strict=True)):
             if i == r:
@@ -324,7 +331,15 @@ def test_exact_pivot_is_d_times_a_gauss_jordan_pivot(monkeypatch):
     monkeypatch.setattr(simplex._Tableau, "_pivot", check)
     for system in [*simplex_systems(), n20_system()]:
         solve(system)
-    assert cases == {"p == d, f == 0", "p == d, f != 0", "p != d", "negative pivot"}
+    assert cases == {
+        "p == d, f == 0",
+        "p == d, f != 0",
+        "p != d",
+        "negative pivot",
+        "p == d == 1",
+        "p == d > 1",
+        "y == 0, p != d",
+    }
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
