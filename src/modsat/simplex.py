@@ -1,21 +1,22 @@
 """Linear programs over nonnegative variables with <= constraints, solved by
 a two-phase simplex on a condensed tableau: it stores only the nonbasic
-columns, so a pivot updates one column per nonbasic variable.
+columns, each with its reduced cost as its last entry, so a pivot updates one
+column per nonbasic variable by one rule.
 
 Arithmetic is exact by default: Python ints over one common denominator, the
 basis determinant, with fraction-free pivots (Edmonds 1967; Bareiss 1968)
 whose divisions are all exact.  An exact pivot is one pass over the stored
-columns that takes each column's pivot-row entry, reduced cost and entries
-together, with the cheapest update the old and new determinants allow: a
-column with pivot-row entry 0 is kept or rescaled, and x - f * y (both
-determinants 1) or x - f * y // d (equal ones) replace (p * x - f * y) // d.
-Float mode (``exact=False``), called only by perfbench's lp-pivot check and
-the tests, has a 1e-9 tolerance.  Pivot selection follows Bland's rule
-(lowest eligible label for entering, lowest basis label on ratio ties), which
-rules out cycling.  Rows with a negative right-hand side get an artificial
-variable; phase 1 drives the artificial sum to zero or reports its positive
-minimum, the phase-1 infeasibility value.  A solve needing more than
-PIVOT_BUDGET pivots raises BudgetExceededError.
+columns, in the cheapest form the old and new determinants allow: a column
+with pivot-row entry 0 is kept or rescaled, and x - f * y (both determinants
+1) or x - f * y // d (equal ones) replace (p * x - f * y) // d.  Float mode
+(``exact=False``), called only by perfbench's lp-pivot check and the tests,
+has a 1e-9 tolerance.  Pivot selection follows Bland's rule (lowest eligible
+label for entering, lowest basis label on ratio ties), which rules out
+cycling.  Rows with a negative right-hand side get an artificial variable;
+phase 1 drives the artificial sum to zero or reports its positive minimum,
+the phase-1 infeasibility value.  A solve needing more than PIVOT_BUDGET
+pivots, or a tableau that may need more than TABLEAU_BUDGET cells, raises
+BudgetExceededError.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ FLOAT_TOL = 1e-9
 # Far above any count seen: 140, 627 and 3,156 pivots for the affine k-1
 # max-sum relaxation of random_kcnf(n, round(4.27 * n), 3, 7), n = 20, 40, 80.
 PIVOT_BUDGET = 100_000
+
+# Far above any tableau solved: that relaxation stores 209,312 cells at
+# n = 160, where (num_vars + rows + 1) * (rows + 1), its bound, is 847,376.
+TABLEAU_BUDGET = 10_000_000
 
 
 def _finite(value, what: str):
@@ -164,9 +169,10 @@ def _integer_scaling(values: Iterable) -> tuple[int, Callable]:
 class _Tableau:
     """Condensed tableau shared by both phases (the dictionary method's
     layout; Chvátal 1983): ``cols`` holds the nonbasic columns, column by
-    column, and the right-hand side last, ``labels`` the label of each, and
-    ``zrow`` their reduced costs and the objective value.  A basic column is
-    d times a unit vector, so it is not stored; ``basis`` labels each row's.
+    column, and the right-hand side last, ``labels`` the label of each.  A
+    column has one entry per row and then its reduced cost; the right-hand
+    side's last entry is the objective value.  A basic column is d times a
+    unit vector, so it is not stored; ``basis`` labels each row's.
     Labels are structural 0..nx-1, slack nx + i of row i, and ``art`` + k for
     the artificial of the k-th negative-bound row, which is negated and made
     basic in it; an artificial never enters, so it never has a column.
@@ -184,17 +190,21 @@ class _Tableau:
         self.d = one
         cons = system.constraints
         m = len(cons)
+        if (system.num_vars + m + 1) * (m + 1) > TABLEAU_BUDGET:
+            raise BudgetExceededError(
+                f"simplex tableau may exceed {TABLEAU_BUDGET} cells"
+            )
         self.nx, self.art = nx, art = system.num_vars, system.num_vars + m
         self.nart = self.pivots = 0
         data = [con.bound for con in cons], *[con.coefficients.values() for con in cons]
         self.scale, conv = self.scaling(itertools.chain(*data))
-        self.cols, self.labels = [[zero] * m for _ in range(nx)], [*range(nx)]
+        self.cols, self.labels = [[zero] * (m + 1) for _ in range(nx)], [*range(nx)]
         self.basis, rhs = [], []
         for i, con in enumerate(cons):
             b, sign = conv(con.bound), 1
             if con.bound < 0:  # scaling by a positive lcm keeps signs
                 b, sign = -b, -1
-                self.cols.append([zero] * i + [-one] + [zero] * (m - 1 - i))
+                self.cols.append([zero] * i + [-one] + [zero] * (m - i))
                 self.labels.append(nx + i)
                 self.basis.append(art + self.nart)
                 self.nart += 1
@@ -203,7 +213,7 @@ class _Tableau:
             for var, c in con.coefficients.items():
                 self.cols[var][i] = sign * conv(c)
             rhs.append(b)
-        self.cols.append(rhs)
+        self.cols.append([*rhs, zero])
 
     def _value(self, x, scale: int = 1):
         """The true value of a tableau entry, undoing the exact scaling."""
@@ -212,73 +222,67 @@ class _Tableau:
     def _pivot(self, r: int, c: int) -> None:
         if self.pivots >= PIVOT_BUDGET:
             raise BudgetExceededError(f"simplex needs more than {PIVOT_BUDGET} pivots")
-        cols, zrow, d = self.cols, self.zrow, self.d
-        fcol, fz, p = cols[c], zrow[c], cols[c][r]
+        cols, d = self.cols, self.d
+        fcol, p = cols[c], cols[c][r]
         leaving, self.basis[r] = self.basis[r], self.labels[c]
         if leaving >= self.art:  # an artificial leaves no column behind
-            del cols[c], self.labels[c], zrow[c]
+            del cols[c], self.labels[c]
         else:  # the leaving column, d * e_r, takes slot c and is updated below
             cols[c] = [self.zero] * len(fcol)
-            cols[c][r], self.labels[c], zrow[c] = d, leaving, self.zero
+            cols[c][r], self.labels[c] = d, leaving
         if self.exact:
             s = -1 if p < 0 else 1  # p < 0 only in drive-out; keeps d > 0
             p = self.d = s * p
-            # One pass: each column's new pivot-row entry y, reduced cost and
-            # entries (p * x - f * y) // d, in the cheapest exact form.
+            # One pass: each column's new pivot-row entry y, then its entries
+            # and reduced cost (p * x - f * y) // d in the cheapest exact form.
             for j, col in enumerate(cols):
-                y, z = s * col[r], zrow[j]
+                y = s * col[r]
                 if not y:  # x rescaled from d to p, kept when they are equal
                     if p != d:
-                        cols[j], zrow[j] = [p * x // d for x in col], p * z // d
+                        cols[j] = [p * x // d for x in col]
                     continue
                 if p != d:
                     col = [(p * x - f * y) // d for x, f in zip(col, fcol)]
-                    zrow[j] = (p * z - fz * y) // d
                 elif d == 1:
                     col = [x - f * y for x, f in zip(col, fcol)]
-                    zrow[j] = z - fz * y
                 else:  # d divides d * x - f * y, so it divides f * y
                     col = [x - f * y // d for x, f in zip(col, fcol)]
-                    zrow[j] = z - fz * y // d
                 col[r], cols[j] = y, col
         else:
-            ys = [col[r] / p for col in cols]
-
-            # Rows and a zrow with f == 0 stay as they are, signed zeros too.
-            def update(col, y):
+            # Entries with f == 0 stay as they are, signed zeros too.
+            def update(col):
+                y = col[r] / p
                 new = [x - f * y if f else x for x, f in zip(col, fcol)]
                 new[r] = y
                 return new
 
-            if fz:
-                zrow = [z - fz * y for z, y in zip(zrow, ys)]
-            self.cols = [update(col, y) for col, y in zip(cols, ys)]
-            self.zrow = zrow
+            self.cols = [update(col) for col in cols]
         self.pivots += 1
 
-    def _build_zrow(self, costs: list) -> None:
-        """zrow[j] = sum over basic rows of cost(basic) * cols[j][row], minus
-        cost(labels[j]) * d; the right-hand side's entry has no cost."""
-        zrow = [self.zero] * len(self.cols)
+    def _build_costs(self, costs: list) -> None:
+        """Each column's last entry: the sum over basic rows of cost(basic) *
+        col[row], minus cost(labels[j]) * d for a stored column j; the
+        right-hand side's, the objective value, has no cost of its own."""
+        zs = [self.zero] * len(self.cols)
         for i, bcol in enumerate(self.basis):
             cb = costs[bcol]
             if cb != 0:
-                zrow = [z + cb * col[i] for z, col in zip(zrow, self.cols)]
-        d = self.d
-        self.zrow = [z - costs[j] * d for z, j in zip(zrow, self.labels)] + zrow[-1:]
+                zs = [z + cb * col[i] for z, col in zip(zs, self.cols)]
+        for col, z, j in zip(self.cols, zs, [*self.labels, None]):
+            col[-1] = z if j is None else z - costs[j] * self.d
 
     def _iterate(self) -> bool:
         """Run pivots until optimal (True) or unbounded (False)."""
         tol, basis, labels = self.tol, self.basis, self.labels
         while True:
             # Bland's rule: the lowest label with a negative reduced cost.
-            eligible = [j for j, z in zip(range(len(labels)), self.zrow) if z < -tol]
+            eligible = [j for j, col in enumerate(self.cols[:-1]) if col[-1] < -tol]
             if not eligible:
                 return True
             enter = min(eligible, key=labels.__getitem__)
             col, rhs = self.cols[enter], self.cols[-1]
             leave = -1
-            for i, a in enumerate(col):
+            for i, a in zip(range(len(basis)), col):
                 if a > tol:
                     if leave >= 0:
                         # Bland's ratio test: rhs[i] / a against the best so
@@ -299,34 +303,29 @@ class _Tableau:
         value when positive, else None with a basic feasible solution."""
         if self.nart == 0:
             return None
-        self._build_zrow([self.zero] * self.art + [-self.one] * self.nart)
+        self._build_costs([self.zero] * self.art + [-self.one] * self.nart)
         self._iterate()
-        value = self.zrow[-1]  # max of -(artificial sum), always <= 0
+        value = self.cols[-1][-1]  # max of -(artificial sum), always <= 0
         if value < -self.tol:
             return self._value(-value, self.scale)
         # Drive any zero-level artificial out of the basis on the lowest label
-        # with a nonzero entry in its row.  [A | +-I] has full row rank, so
-        # exact rows always have one; a float row whose entries all fall
-        # within FLOAT_TOL has none and is dropped.
+        # with a nonzero entry in its row.  There is always one: while the
+        # artificial of row i is basic, the slack of row i, which can enter
+        # only at row i, is stored with entry -d there.
         for i in range(len(self.basis)):
             if self.basis[i] >= self.art:
                 cols = self.cols[:-1]  # each pivot replaces the columns
                 js = [j for j, col in enumerate(cols) if abs(col[i]) > self.tol]
-                if js:
-                    self._pivot(i, min(js, key=self.labels.__getitem__))
-        kept = [i for i, bcol in enumerate(self.basis) if bcol < self.art]
-        if len(kept) < len(self.basis):
-            self.cols = [[col[i] for i in kept] for col in self.cols]
-            self.basis = [self.basis[i] for i in kept]
+                self._pivot(i, min(js, key=self.labels.__getitem__))
         return None
 
     def phase_two(self, objective: Sequence) -> Fraction | float | None:
         """Maximize ``objective``: its optimal value, or None if unbounded."""
         cost_scale, conv = self.scaling(objective)
         slacks = self.art - self.nx
-        self._build_zrow([conv(c) for c in objective] + [self.zero] * slacks)
+        self._build_costs([conv(c) for c in objective] + [self.zero] * slacks)
         if self._iterate():
-            return self._value(self.zrow[-1], cost_scale)
+            return self._value(self.cols[-1][-1], cost_scale)
         return None
 
     def point(self) -> tuple:

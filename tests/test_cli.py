@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import modsat
+from modsat import simplex
 from modsat.cli import build_parser, main
 from modsat.cnf import parse_dimacs
 from modsat.mvlogic import (
@@ -586,3 +587,23 @@ def test_wide_header_runs_in_bounded_memory(tmp_path):
     assert json.loads(outputs[0])["status"] == "sat"
     record, = json.loads((tmp_path / "r" / "report.json").read_text())["records"]
     assert (record["oracle_status"], record["category"]) == ("sat", "sound_sat")
+
+
+def test_wide_affine_tableau_is_refused_before_it_is_built(tmp_path):
+    # Affine max-sum over 30,000 declared variables: 30,001 rows and a
+    # stored column per variable, about 9 * 10**8 cells.  The tableau budget
+    # refuses it before a column is allocated, well inside 1 GiB.
+    path = write_cnf(tmp_path, "wide.cnf", "p cnf 30000 1\n1 2 3 0\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(modsat.__file__).parents[1])}
+    for command in ("lp", "solve"):
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "modsat.cli", command, path,
+             "--negation", "affine", "--objective", "max-sum"], env=env,
+            capture_output=True, text=True, preexec_fn=_limit_address_space,
+        )
+        assert time.perf_counter() - start < 10
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == (
+            f"error: simplex tableau may exceed {simplex.TABLEAU_BUDGET} cells\n"
+        )

@@ -1,15 +1,17 @@
 """Relax-solve-round pipeline behavior and its documented unsoundness."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from modsat import relax, simplex
-from modsat.cnf import Formula, clause_of, evaluate
+from modsat.cnf import Formula, clause_of, evaluate, random_kcnf
 from modsat.errors import UnsupportedFormulaError
 from modsat.mvlogic import mod_shift
+from modsat.oracle import dpll_sat
 from modsat.pipeline import (
     OBJECTIVE_MAX_SUM,
     OBJECTIVE_NONE,
@@ -22,7 +24,7 @@ from modsat.pipeline import (
     round_assignment,
     run,
 )
-from modsat.simplex import FEASIBLE, INFEASIBLE, LpSolution, LpSystem
+from modsat.simplex import FEASIBLE, INFEASIBLE, LpSolution, LpSystem, max_violation
 
 from conftest import formulas
 from test_identity import relaxation_formulas
@@ -234,3 +236,67 @@ def test_infeasible_relaxation_yields_unsat_claim(monkeypatch):
     result = run(contradiction(), PipelineConfig(negation_mode="affine"))
     # steps: 4 clause rows + 2 box rows + 3 pivots, and no rounding.
     assert result == PipelineResult(UNSAT_CLAIM, None, infeasible, (), 4 + 2 + 3)
+
+
+@given(f=st.integers(2, 4).flatmap(lambda w: formulas(max_vars=6, width=w)))
+def test_affine_rounding_base_never_matters(f):
+    # The box rows keep every affine coordinate in [0, 1], where floor(X)
+    # mod 2 and floor(X) mod k agree, so base 2 and base k give equal results.
+    modes = itertools.product(relax.BOUND_MODES, (OBJECTIVE_NONE, OBJECTIVE_MAX_SUM))
+    for bound, objective in modes:
+        base_2, base_k = (
+            run(f, PipelineConfig(relax.AFFINE, bound, base, objective))
+            for base in (2, "k")
+        )
+        assert base_2 == base_k
+
+
+@given(f=formulas(max_vars=6, max_clauses=6))
+def test_affine_k_minus_1_zero_one_points_are_the_models(f):
+    # A clause row sums X over its positive literals and 1 - X over its
+    # negated ones: with X = 0 read as true, the count of its false literals.
+    # Bounded by k - 1, at least one literal is true.
+    system = relax.build_relaxation(f, relax.AFFINE, relax.BOUND_K_MINUS_1)
+    for point in itertools.product((0, 1), repeat=f.num_vars):
+        model = evaluate(f, tuple(x == 0 for x in point))
+        assert (max_violation(system, point) <= 0) == model
+
+
+def relabel(formula: Formula, seed: int) -> Formula:
+    """``formula`` with its variables permuted and its clauses shuffled."""
+    rng = random.Random(seed)
+    perm = rng.sample(range(1, formula.num_vars + 1), formula.num_vars)
+    clauses = [
+        clause_of(*(perm[abs(code) - 1] * (1 if code > 0 else -1) for code in clause))
+        for clause in formula.clauses
+    ]
+    rng.shuffle(clauses)
+    return Formula(formula.num_vars, tuple(clauses))
+
+
+ALL_CONFIGS = [
+    PipelineConfig(negation, bound, base, objective)
+    for negation, bound, base, objective in itertools.product(
+        relax.NEGATION_MODES, relax.BOUND_MODES, (2, "k"), (OBJECTIVE_NONE, OBJECTIVE_MAX_SUM)
+    )
+]
+
+
+def test_relabeling_keeps_claims_lp_values_and_verdicts():
+    # Renumbering variables and reordering clauses changes neither the
+    # formula's satisfiability nor an LP's status and optimal value.  The
+    # vertex reached and its pivot count are Bland's-rule label draws, so
+    # they are not compared.
+    assert len(ALL_CONFIGS) == 16
+    rng = random.Random(20261020)
+    for _ in range(200):
+        width = rng.choice((2, 3))
+        n = rng.randint(width + 1, 8)
+        f = random_kcnf(n, rng.randint(1, 5 * n), width, rng.randrange(2**32))
+        g = relabel(f, rng.randrange(2**32))
+        assert dpll_sat(g).status == dpll_sat(f).status
+        for config in ALL_CONFIGS:
+            a, b = run(f, config), run(g, config)
+            assert (a.claimed_status, a.lp.status, a.lp.objective_value) == (
+                b.claimed_status, b.lp.status, b.lp.objective_value
+            )

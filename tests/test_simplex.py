@@ -287,8 +287,8 @@ def _dense(tab):
         + [tab.cols[-1][i]]
         for i, b in enumerate(tab.basis)
     ]
-    zrow = [tab.zrow[slot[j]] if j in slot else 0 for j in labels]
-    return [*rows, zrow + tab.zrow[-1:]]
+    zrow = [tab.cols[slot[j]][-1] if j in slot else 0 for j in labels]
+    return [*rows, zrow + [tab.cols[-1][-1]]]
 
 
 def test_exact_pivot_is_d_times_a_gauss_jordan_pivot(monkeypatch):
@@ -346,24 +346,34 @@ def test_exact_pivot_is_d_times_a_gauss_jordan_pivot(monkeypatch):
 def test_condensed_layout_holds_after_every_pivot(monkeypatch, exact):
     # Every structural and slack label is stored or basic, exactly once; an
     # artificial is only ever basic; each stored column, the right-hand side
-    # included, has one entry per row and one entry in zrow.
-    pivots = 0
+    # included, has one entry per row and its reduced cost last.  While the
+    # artificial of row i is basic, the slack of row i is stored with entry
+    # -d in row i, so drive-out always finds a pivot there.
+    pivots = artificial_rows = 0
     pivot = simplex._Tableau._pivot
 
     def check(tab, r, c):
-        nonlocal pivots
+        nonlocal pivots, artificial_rows
         pivot(tab, r, c)
         pivots += 1
         labels = sorted(j for j in [*tab.labels, *tab.basis] if j < tab.art)
         assert labels == list(range(tab.art))
         assert max(tab.labels, default=-1) < tab.art
-        assert len(tab.cols) == len(tab.labels) + 1 == len(tab.zrow)
-        assert all(len(column) == len(tab.basis) for column in tab.cols)
+        assert len(tab.cols) == len(tab.labels) + 1
+        assert all(len(column) == len(tab.basis) + 1 for column in tab.cols)
+        assert not hasattr(tab, "zrow")
+        for i, bcol in enumerate(tab.basis):
+            if bcol >= tab.art:
+                slack = tab.cols[tab.labels.index(tab.nx + i)]
+                assert slack[i] == -tab.d
+                assert type(slack[i]) is type(tab.one)
+                artificial_rows += 1
 
     monkeypatch.setattr(simplex._Tableau, "_pivot", check)
     for system in [*simplex_systems(), n20_system()]:
         solve(system, exact=exact)
     assert pivots > 140
+    assert artificial_rows > 1000
 
 
 def test_pivot_budget(monkeypatch, tmp_path, capsys):
@@ -395,6 +405,23 @@ def test_pivot_budget(monkeypatch, tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: simplex needs more than 2 pivots")
+
+
+def test_tableau_budget(monkeypatch):
+    # The bound counts a stored column per variable and per row, each with
+    # an entry per row and a reduced cost: the affine contradiction has 2
+    # variables and 6 rows, so 9 * 7 cells.
+    affine = pipeline.PipelineConfig(relax.AFFINE, relax.BOUND_K_MINUS_1)
+    system = pipeline.build_system(harness.contradiction_2cnf(), affine)
+    monkeypatch.setattr(simplex, "TABLEAU_BUDGET", 63)
+    assert solve(system).pivot_steps == 3
+    monkeypatch.setattr(simplex, "TABLEAU_BUDGET", 62)
+    with pytest.raises(BudgetExceededError, match="tableau may exceed 62 cells"):
+        solve(system)
+    # An origin answer builds no tableau, so it never meets the budget.
+    monkeypatch.setattr(simplex, "TABLEAU_BUDGET", 0)
+    faithful = pipeline.build_system(harness.contradiction_2cnf(), pipeline.PipelineConfig())
+    assert solve(faithful) == LpSolution(FEASIBLE, (0, 0), None, 0)
 
 
 def test_float_mode_matches_exact_on_fixed_example():
