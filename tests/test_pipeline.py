@@ -275,9 +275,12 @@ def relabel(formula: Formula, seed: int) -> Formula:
 
 
 ALL_CONFIGS = [
-    PipelineConfig(negation, bound, base, objective)
-    for negation, bound, base, objective in itertools.product(
-        relax.NEGATION_MODES, relax.BOUND_MODES, (2, "k"), (OBJECTIVE_NONE, OBJECTIVE_MAX_SUM)
+    PipelineConfig(*config)
+    for config in itertools.product(
+        relax.NEGATION_MODES,
+        relax.BOUND_MODES,
+        (2, "k"),
+        (OBJECTIVE_NONE, OBJECTIVE_MAX_SUM),
     )
 ]
 

@@ -408,11 +408,12 @@ def test_pivot_budget(monkeypatch, tmp_path, capsys):
 
 
 def test_tableau_budget(monkeypatch):
-    # The bound counts a stored column per variable and per row, each with
-    # an entry per row and a reduced cost: the affine contradiction has 2
-    # variables and 6 rows, so 9 * 7 cells.
+    # The bound is variables + rows + 1 columns of rows + 1 entries, the
+    # reduced cost last: the affine contradiction has 2 variables and 6
+    # rows, so 9 * 7 cells.
+    contradiction = harness.contradiction_2cnf()
     affine = pipeline.PipelineConfig(relax.AFFINE, relax.BOUND_K_MINUS_1)
-    system = pipeline.build_system(harness.contradiction_2cnf(), affine)
+    system = pipeline.build_system(contradiction, affine)
     monkeypatch.setattr(simplex, "TABLEAU_BUDGET", 63)
     assert solve(system).pivot_steps == 3
     monkeypatch.setattr(simplex, "TABLEAU_BUDGET", 62)
@@ -420,7 +421,7 @@ def test_tableau_budget(monkeypatch):
         solve(system)
     # An origin answer builds no tableau, so it never meets the budget.
     monkeypatch.setattr(simplex, "TABLEAU_BUDGET", 0)
-    faithful = pipeline.build_system(harness.contradiction_2cnf(), pipeline.PipelineConfig())
+    faithful = pipeline.build_system(contradiction, pipeline.PipelineConfig())
     assert solve(faithful) == LpSolution(FEASIBLE, (0, 0), None, 0)
 
 
