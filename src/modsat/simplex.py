@@ -5,18 +5,19 @@ column per nonbasic variable by one rule.
 
 Arithmetic is exact by default: Python ints over one common denominator, the
 basis determinant, with fraction-free pivots (Edmonds 1967; Bareiss 1968)
-whose divisions are all exact.  An exact pivot is one pass over the stored
-columns, in the cheapest form the old and new determinants allow: a column
+whose divisions are all exact.  A pivot is one pass over the stored columns
+for both number types, each column replaced in the one column list.  Exact
+columns take the cheapest form the old and new determinants allow: a column
 with pivot-row entry 0 is kept or rescaled, and x - f * y (both determinants
 1) or x - f * y // d (equal ones) replace (p * x - f * y) // d.  Float mode
 (``exact=False``), called only by perfbench's lp-pivot check and the tests,
-has a 1e-9 tolerance.  Pivot selection follows Bland's rule (lowest eligible
-label for entering, lowest basis label on ratio ties), which rules out
-cycling.  Rows with a negative right-hand side get an artificial variable;
-phase 1 drives the artificial sum to zero or reports its positive minimum,
-the phase-1 infeasibility value.  A solve needing more than PIVOT_BUDGET
-pivots, or a tableau that may need more than TABLEAU_BUDGET cells, raises
-BudgetExceededError.
+has a 1e-9 tolerance and divides in its ratio test.  Pivot selection
+follows Bland's rule (lowest eligible label for entering, lowest basis label
+on ratio ties), which rules out cycling.  Rows with a negative right-hand
+side get an artificial variable; phase 1 drives the artificial sum to zero
+or reports its positive minimum, the phase-1 infeasibility value.  A solve
+needing more than PIVOT_BUDGET pivots, or a tableau that may need more than
+TABLEAU_BUDGET cells, raises BudgetExceededError.
 """
 
 from __future__ import annotations
@@ -180,7 +181,8 @@ class _Tableau:
     Exact entries are ints, the true entry ``x / d``, from data scaled by the
     lcm ``scale`` of their denominators (the objective by its own): one
     positive factor scales every slack, artificial and reduced cost, so no
-    pivot choice changes.  Float entries are true values, with d = 1."""
+    pivot choice changes.  Float entries are true values, with d = 1.  A
+    pivot replaces columns within ``cols`` and never rebinds it."""
 
     def __init__(self, system: LpSystem, exact: bool):
         self.exact = exact
@@ -230,33 +232,27 @@ class _Tableau:
         else:  # the leaving column, d * e_r, takes slot c and is updated below
             cols[c] = [self.zero] * len(fcol)
             cols[c][r], self.labels[c] = d, leaving
-        if self.exact:
-            s = -1 if p < 0 else 1  # p < 0 only in drive-out; keeps d > 0
-            p = self.d = s * p
-            # One pass: each column's new pivot-row entry y, then its entries
-            # and reduced cost (p * x - f * y) // d in the cheapest exact form.
-            for j, col in enumerate(cols):
-                y = s * col[r]
-                if not y:  # x rescaled from d to p, kept when they are equal
-                    if p != d:
-                        cols[j] = [p * x // d for x in col]
-                    continue
+        exact, s = self.exact, -1 if p < 0 else 1  # p < 0 only in drive-out
+        if exact:
+            p = self.d = s * p  # keeps d > 0
+        # One pass: each column's new pivot-row entry y, then its entries and
+        # reduced cost, x - f * y in floats (f == 0 keeps x, signed zeros too)
+        # and (p * x - f * y) // d in the cheapest exact form.
+        for j, col in enumerate(cols):
+            y = s * col[r] if exact else col[r] / p
+            if not exact:
+                col = [x - f * y if f else x for x, f in zip(col, fcol)]
+            elif not y:  # x rescaled from d to p, kept when they are equal
                 if p != d:
-                    col = [(p * x - f * y) // d for x, f in zip(col, fcol)]
-                elif d == 1:
-                    col = [x - f * y for x, f in zip(col, fcol)]
-                else:  # d divides d * x - f * y, so it divides f * y
-                    col = [x - f * y // d for x, f in zip(col, fcol)]
-                col[r], cols[j] = y, col
-        else:
-            # Entries with f == 0 stay as they are, signed zeros too.
-            def update(col):
-                y = col[r] / p
-                new = [x - f * y if f else x for x, f in zip(col, fcol)]
-                new[r] = y
-                return new
-
-            self.cols = [update(col) for col in cols]
+                    cols[j] = [p * x // d for x in col]
+                continue
+            elif p != d:
+                col = [(p * x - f * y) // d for x, f in zip(col, fcol)]
+            elif d == 1:
+                col = [x - f * y for x, f in zip(col, fcol)]
+            else:  # d divides d * x - f * y, so it divides f * y
+                col = [x - f * y // d for x, f in zip(col, fcol)]
+            col[r], cols[j] = y, col
         self.pivots += 1
 
     def _build_costs(self, costs: list) -> None:
@@ -289,7 +285,7 @@ class _Tableau:
                         # far; exact ratios cross-multiply, as a > 0.
                         if self.exact:
                             lhs, best = rhs[i] * col[leave], rhs[leave] * a
-                        else:
+                        else:  # divide: floats cross-multiplied round apart
                             lhs, best = rhs[i] / a, rhs[leave] / col[leave]
                         if lhs > best or (lhs == best and basis[i] > basis[leave]):
                             continue
@@ -301,8 +297,6 @@ class _Tableau:
     def phase_one(self) -> Fraction | float | None:
         """Minimize the artificial sum.  Returns the phase-1 infeasibility
         value when positive, else None with a basic feasible solution."""
-        if self.nart == 0:
-            return None
         self._build_costs([self.zero] * self.art + [-self.one] * self.nart)
         self._iterate()
         value = self.cols[-1][-1]  # max of -(artificial sum), always <= 0
@@ -314,7 +308,7 @@ class _Tableau:
         # only at row i, is stored with entry -d there.
         for i in range(len(self.basis)):
             if self.basis[i] >= self.art:
-                cols = self.cols[:-1]  # each pivot replaces the columns
+                cols = self.cols[:-1]  # the right-hand side never enters
                 js = [j for j, col in enumerate(cols) if abs(col[i]) > self.tol]
                 self._pivot(i, min(js, key=self.labels.__getitem__))
         return None
