@@ -67,11 +67,11 @@ numbers a field's bits by clause index rather than by occurrence.
 
 Clause index costs one multiply per literal to build and occurrence ranks a
 pass over the clauses, while the ranked fields are narrower in the search.
-Measured in process (Python 3.11, paired runs, clause index : ranks): 0.70
-on the n=12, m=51 formulas of ``diff-transition`` (1,248 bits), 1.02-1.03
-on the n=24, m=102 ones of ``dpll-hard`` (4,944 bits), and 0.58-0.62 s
-against 0.20-0.23 s on the W-oracle formula (54,720 bits).  The n=2400
-depth test formula would need 4,800 clause-index cuts of 1.4 MB each."""
+Clause index : ranks, in process (Python 3.11, ten alternating pairs per n,
+random_kcnf(n, round(4.27n), 3, 9000 + i), i < 40): 0.76-0.80 at n=16 (2,208
+bits), 0.90-0.97 at n=22 (4,180), 0.97-0.99 at n=24 (4,944; dpll-hard's n) and
+0.99-1.02 at n=26; 0.58-0.62 s against 0.20-0.23 s on W-oracle (54,720 bits).
+The n=2400 depth test would need 4,800 clause-index cuts of 1.4 MB."""
 
 SAT = "sat"
 UNSAT = "unsat"

@@ -6,18 +6,18 @@ column per nonbasic variable by one rule.
 Arithmetic is exact by default: Python ints over one common denominator, the
 basis determinant, with fraction-free pivots (Edmonds 1967; Bareiss 1968)
 whose divisions are all exact.  A pivot is one pass over the stored columns
-for both number types, each column replaced in the one column list.  Exact
-columns take the cheapest form the old and new determinants allow: a column
-with pivot-row entry 0 is kept or rescaled, and x - f * y (both determinants
-1) or x - f * y // d (equal ones) replace (p * x - f * y) // d.  Float mode
-(``exact=False``), called only by perfbench's lp-pivot check and the tests,
-has a 1e-9 tolerance and divides in its ratio test.  Pivot selection
-follows Bland's rule (lowest eligible label for entering, lowest basis label
-on ratio ties), which rules out cycling.  Rows with a negative right-hand
-side get an artificial variable; phase 1 drives the artificial sum to zero
-or reports its positive minimum, the phase-1 infeasibility value.  A solve
-needing more than PIVOT_BUDGET pivots, or a tableau that may need more than
-TABLEAU_BUDGET cells, raises BudgetExceededError.
+for both number types.  Exact columns take the cheapest form the old and new
+determinants allow: a column with pivot-row entry 0 is kept or rescaled, and
+x - f * y (both determinants 1) or x - f * y // d (equal ones) replace
+(p * x - f * y) // d.  Float mode (``exact=False``), called only by
+perfbench's lp-pivot check and the tests, has a 1e-9 tolerance and divides
+in its ratio test.  Pivot selection follows Bland's rule (lowest eligible
+label for entering, lowest basis label on ratio ties), which rules out
+cycling.  Rows with a negative right-hand side get an artificial variable;
+phase 1 drives the artificial sum to zero or reports its positive minimum,
+the phase-1 infeasibility value.  A solve needing more than PIVOT_BUDGET
+pivots, or a tableau that may need more than TABLEAU_BUDGET cells, raises
+BudgetExceededError.
 """
 
 from __future__ import annotations

@@ -438,6 +438,18 @@ def test_float_mode_matches_exact_on_fixed_example():
     assert max_violation(system, sol.point) <= 1e-9
 
 
+def test_float_ratio_test_divides():
+    """Float mode compares ratios by division.  Cross-multiplied, the float
+    products round apart from the quotients: this system then takes 15
+    pivots, like the exact solve, and reaches another float point."""
+    config = pipeline.PipelineConfig(
+        relax.AFFINE, relax.BOUND_K_MINUS_1, 2, pipeline.OBJECTIVE_MAX_SUM
+    )
+    system = pipeline.build_system(random_kcnf(5, 21, 3, 24), config)
+    assert solve(system).pivot_steps == 15
+    assert solve(system, exact=False).pivot_steps == 16
+
+
 def test_max_violation_reports_worst_break():
     system = LpSystem(2, (LinearConstraint({0: 1, 1: 1}, 1),))
     assert max_violation(system, (2, 1)) == 2
@@ -515,6 +527,41 @@ def test_agrees_with_vertex_enumeration_on_random_boxed_systems():
         float_sol = solve(system, exact=False)
         assert float_sol.status == FEASIBLE
         assert abs(float_sol.objective_value - float(best)) < 1e-6
+
+
+def test_phase_one_value_is_the_least_total_shortfall_over_vertices():
+    """The phase-1 infeasibility value of an infeasible boxed system equals
+    min sum(t) over the system with a t_k >= 0 per negative-bound row k,
+    rewritten a.x - t_k <= b_k, found by vertex enumeration."""
+    rng = random.Random(7)
+    infeasible = 0
+    for trial in range(100):
+        n = rng.randint(1, 3)
+        cons = []
+        for _ in range(rng.randint(1, 4)):
+            coeffs = {v: rng.randint(-3, 3) for v in range(n)}
+            cons.append(LinearConstraint(coeffs, rng.randint(-4, 4)))
+        for v in range(n):
+            cons.append(LinearConstraint({v: 1}, rng.randint(1, 3)))
+        system = LpSystem(n, tuple(cons))
+        sol = solve(system)
+        if sol.status != INFEASIBLE:
+            continue
+        infeasible += 1
+        rows, t = [], n  # variable t is the next t_k; equal rows get one each
+        for con in cons:
+            if con.bound < 0:
+                con = LinearConstraint({**con.coefficients, t: -1}, con.bound)
+                t += 1
+            rows.append(con)
+        shortfall = LpSystem(t, tuple(rows))
+        least = min(sum(vertex[n:]) for vertex in _enumerate_vertices(shortfall))
+        assert least > 0, f"trial {trial}"
+        assert sol.infeasibility == least, f"trial {trial}"
+        float_sol = solve(system, exact=False)
+        assert float_sol.status == INFEASIBLE, f"trial {trial}"
+        assert abs(float_sol.infeasibility - float(least)) < 1e-9, f"trial {trial}"
+    assert infeasible >= 30
 
 
 def test_solution_shape():
