@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import harness, oracle, pipeline, relax, simplex
 from .cnf import evaluate, parse_dimacs
-from .errors import BudgetExceededError, check_budget
+from .errors import BudgetExceededError, check_int
 from .foldeval import fold_eval
 from .mvlogic import (
     DEFAULT_TABLE_BUDGET,
@@ -223,7 +223,7 @@ def cmd_solve(args) -> int:
 
 def cmd_oracle(args) -> int:
     formula = _load_formula(args.file)
-    check_budget(args.budget, "node")  # for brute force too, which takes none
+    check_int(args.budget, "node budget", 0)  # for brute force too, which takes none
     try:
         if args.method == "brute":
             verdict = oracle.brute_force_sat(formula)

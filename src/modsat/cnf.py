@@ -15,7 +15,7 @@ from itertools import chain, repeat
 from math import ceil, log
 from typing import Sequence
 
-from .errors import DimacsError, UnsupportedFormulaError
+from .errors import DimacsError, UnsupportedFormulaError, check_int
 
 # DIMACS numbers are ASCII decimal; int() alone would also take "+1", "1_0" or "２".
 _INTEGERS = re.compile(r"-?[0-9]+(?:\s+-?[0-9]+)*").fullmatch
@@ -253,16 +253,11 @@ def random_kcnf(
     ``rng = random.Random(seed)``; the two branches of ``Random.sample``
     (Python 3.10-3.12) are inlined to spare its per-call overhead.
     """
-    args = {"num_vars": num_vars, "num_clauses": num_clauses, "width": width}
-    for name, value in args.items():
-        if type(value) is not int:
-            raise TypeError(f"{name} must be an int, got {value!r}")
-    if width < 1:
-        raise ValueError(f"width must be >= 1, got {width}")
+    check_int(num_vars, "num_vars", 0)
+    check_int(num_clauses, "num_clauses", 0)
+    check_int(width, "width", 1)
     if width > num_vars:
         raise ValueError(f"width {width} exceeds {num_vars} variables")
-    if num_clauses < 0:
-        raise ValueError(f"num_clauses must be >= 0, got {num_clauses}")
     rng = random.Random(seed)
     getrandbits, coin = rng.getrandbits, rng.random
     slots = range(width)

@@ -1,4 +1,4 @@
-"""Shared exception types and the budget check."""
+"""Shared exception types and the integer-argument check."""
 
 
 class DimacsError(ValueError):
@@ -29,10 +29,10 @@ class UnsupportedFormulaError(ValueError):
     for example mixed clause widths where a uniform width is required."""
 
 
-def check_budget(budget: int, unit: str) -> None:
-    """Refuse a budget of ``unit``s that is not an int >= 0 (a bool is not
-    an int)."""
-    if type(budget) is not int:
-        raise TypeError(f"{unit} budget must be an int, got {budget!r}")
-    if budget < 0:
-        raise ValueError(f"{unit} budget must be >= 0, got {budget}")
+def check_int(value: int, what: str, minimum: int) -> None:
+    """Refuse a ``what`` that is not an int >= ``minimum`` (a bool is not an
+    int)."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an int, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {value}")

@@ -38,7 +38,7 @@ from .errors import (
     BudgetExceededError,
     DimacsError,
     UnsupportedFormulaError,
-    check_budget,
+    check_int,
 )
 from .foldeval import fold_eval, predicted_ops
 
@@ -172,7 +172,7 @@ def diff_run(
     Per-instance failures are captured in the record's error field; the
     batch never aborts.
     """
-    check_budget(oracle_budget, "node")
+    check_int(oracle_budget, "node budget", 0)
     instances = tuple(instances)
     for instance_id, formula in instances:
         try:
@@ -317,15 +317,9 @@ def gen_corpus(
     """
     if (num_clauses is None) == (ratios is None):
         raise ValueError("exactly one of num_clauses or ratios is required")
-    if type(count) is not int:
-        raise TypeError(f"count must be an int, got {count!r}")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    check_int(count, "count", 1)
     if num_clauses is not None:
-        if type(num_clauses) is not int:
-            raise TypeError(f"num_clauses must be an int, got {num_clauses!r}")
-        if num_clauses < 1:
-            raise ValueError(f"num_clauses must be >= 1, got {num_clauses}")
+        check_int(num_clauses, "num_clauses", 1)
     if ratios is not None:
         ratios = tuple(ratios)
         if not ratios:

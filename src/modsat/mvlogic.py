@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import BudgetExceededError, check_budget
+from .errors import BudgetExceededError, check_int
 
 # Cap on how many tables an enumeration may yield.
 DEFAULT_TABLE_BUDGET = 10**6
@@ -133,7 +133,7 @@ def _shift_tuples(n: int, family: str, budget: int) -> Iterator[tuple]:
     passes the budget, so the check costs a few multiplications at any arity.
     """
     _check_arity(n)
-    check_budget(budget, "table")
+    check_int(budget, "table budget", 0)
     cells = n * n if family == "binary" else n
     total = 1
     for _ in range(cells):
@@ -198,13 +198,7 @@ def connective_name(table: BinaryTable) -> str:
     """Classical connective name of a two-valued binary table."""
     if table.arity != 2:
         raise ValueError(f"names are defined at arity 2 only, got {table.arity}")
-    flat = (
-        table.indices[0][0],
-        table.indices[0][1],
-        table.indices[1][0],
-        table.indices[1][1],
-    )
-    return _CONNECTIVE_NAMES[flat]
+    return _CONNECTIVE_NAMES[table.indices[0] + table.indices[1]]
 
 
 @lru_cache(maxsize=None)

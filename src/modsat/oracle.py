@@ -57,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cnf import Formula, evaluate
-from .errors import BudgetExceededError, CertificateError, check_budget
+from .errors import BudgetExceededError, CertificateError, check_int
 
 BRUTE_FORCE_MAX_VARS = 26
 DEFAULT_NODE_BUDGET = 10**7
@@ -122,21 +122,19 @@ def brute_force_sat(formula: Formula) -> OracleVerdict:
         )
     pos_neg = _clause_masks(formula)
     full = (1 << n) - 1
-    tried = 0
     for a in range(1 << n):
-        tried += 1
         flipped = a ^ full
         if all(a & pos or flipped & neg for pos, neg in pos_neg):
             witness = tuple(bool(a >> i & 1) for i in range(n))
-            return OracleVerdict(SAT, witness, tried)
-    return OracleVerdict(UNSAT, None, tried)
+            return OracleVerdict(SAT, witness, a + 1)
+    return OracleVerdict(UNSAT, None, 1 << n)
 
 
 def dpll_sat(
     formula: Formula, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> OracleVerdict:
     """DPLL search.  Raises BudgetExceededError when the node budget runs out."""
-    check_budget(node_budget, "node")
+    check_int(node_budget, "node budget", 0)
     clauses = formula.clauses
     everything = (1 << len(clauses)) - 1
     # occ[code]: the clauses holding literal code.  by_width[w]: the clauses

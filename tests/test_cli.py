@@ -12,7 +12,7 @@ import pytest
 
 import modsat
 from modsat import simplex
-from modsat.cli import build_parser, main
+from modsat.cli import _print_json, build_parser, main
 from modsat.cnf import parse_dimacs
 from modsat.mvlogic import (
     enumerate_binary,
@@ -186,6 +186,14 @@ def test_lp_json_lists_the_objective(contra_file, capsys):
     data = run_json(capsys, ["lp", contra_file, "--objective", "max-sum"])
     assert data["system"]["objective"] == [1, 1]
     assert data["solution"]["objective_value"] == "2"
+
+
+def test_print_json_refuses_what_is_not_an_exact_number(capsys):
+    # Only a Fraction gets a string form; any other object json cannot
+    # encode is refused, not printed as its str().
+    with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
+        _print_json({"point": {1}}, None)
+    assert capsys.readouterr().out == ""
 
 
 def test_lp_text_format(simple_file, capsys):

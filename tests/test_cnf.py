@@ -476,6 +476,12 @@ def test_random_kcnf_validation():
         random_kcnf(2, 5, 0, seed=0)
     with pytest.raises(ValueError):
         random_kcnf(2, -1, 2, seed=0)
+    # Each argument is checked in signature order with the shared wording,
+    # so a negative num_vars is named, even beside a bad num_clauses.
+    with pytest.raises(ValueError, match=re.escape("num_vars must be >= 0, got -1")):
+        random_kcnf(-1, 0, 1, 0)
+    with pytest.raises(ValueError, match=re.escape("num_vars must be >= 0, got -1")):
+        random_kcnf(-1, 2.0, 1, 0)
 
 
 @pytest.mark.parametrize("name", ["num_vars", "num_clauses", "width"])

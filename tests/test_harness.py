@@ -321,6 +321,10 @@ def test_gen_corpus_argument_validation(tmp_path):
         gen_corpus(tmp_path, 8, 3, 1, seed=0, num_clauses=5, ratios=[1.0])
     with pytest.raises(ValueError):
         gen_corpus(tmp_path, 8, 3, 0, seed=0, num_clauses=5)
+    out = tmp_path / "corpus"
+    with pytest.raises(ValueError, match=re.escape("count must be >= 1, got 0")):
+        gen_corpus(out, 8, 3, count=0, seed=0, num_clauses=5)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", [2.0, True])
