@@ -61,17 +61,20 @@ from .errors import BudgetExceededError, CertificateError, check_int
 
 BRUTE_FORCE_MAX_VARS = 26
 DEFAULT_NODE_BUDGET = 10**7
-FIELD_INDEX_MAX_BITS = 4096
+FIELD_INDEX_MAX_BITS = 4608
 """The largest packed size 2N(m + 1), in bits, at which ``dpll_sat``
 numbers a field's bits by clause index rather than by occurrence.
 
 Clause index costs one multiply per literal to build and occurrence ranks a
 pass over the clauses, while the ranked fields are narrower in the search.
 Clause index : ranks, in process (Python 3.11, ten alternating pairs per n,
-random_kcnf(n, round(4.27n), 3, 9000 + i), i < 40): 0.76-0.80 at n=16 (2,208
-bits), 0.90-0.97 at n=22 (4,180), 0.97-0.99 at n=24 (4,944; dpll-hard's n) and
-0.99-1.02 at n=26; 0.58-0.62 s against 0.20-0.23 s on W-oracle (54,720 bits).
-The n=2400 depth test would need 4,800 clause-index cuts of 1.4 MB."""
+random_kcnf(n, round(4.27n), 3, 9000 + i), i < 40, nine repeats): 0.76-0.80
+at n=16 (2,208 bits), 0.81-0.85 at n=20 (3,440), 0.90-0.97 at n=22 (4,180),
+0.97-0.99 at n=24 (4,944; dpll-hard's n) and 0.99-1.02 at n=26 (5,824);
+0.58-0.62 s against 0.20-0.23 s on W-oracle (54,720 bits).  So the
+threshold sits between n=22, where clause index wins, and n=24, where the
+two are within 3% and dpll-hard keeps its ranks.  The n=2400 depth test
+would need 4,800 clause-index cuts of 1.4 MB."""
 
 SAT = "sat"
 UNSAT = "unsat"

@@ -5,13 +5,14 @@ column per nonbasic variable by one rule.
 
 Arithmetic is exact by default: Python ints over one common denominator, the
 basis determinant, with fraction-free pivots (Edmonds 1967; Bareiss 1968)
-whose divisions are all exact.  A pivot is one pass over the stored columns
-for both number types.  Exact columns take the cheapest form the old and new
-determinants allow: a column with pivot-row entry 0 is kept or rescaled, and
-x - f * y (both determinants 1) or x - f * y // d (equal ones) replace
-(p * x - f * y) // d.  Float mode (``exact=False``), called only by
-perfbench's lp-pivot check and the tests, has a 1e-9 tolerance and divides
-in its ratio test.  Pivot selection follows Bland's rule (lowest eligible
+whose divisions are all exact.  An exact column is one int with a signed
+field per entry (broadword arithmetic; Knuth, TAOCP 4A 7.1.3), so a pivot
+updates it in a few big-int operations: a column with pivot-row entry 0 is
+kept or rescaled, and x - f * y (both determinants 1) or x - f * y // d
+(equal ones) replace (p * x - f * y) // d.  Float mode (``exact=False``),
+called only by perfbench's lp-pivot check and the tests, keeps a list per
+column, has a 1e-9 tolerance and divides in its ratio test; it shares the
+rest of the solver.  Pivot selection follows Bland's rule (lowest eligible
 label for entering, lowest basis label on ratio ties), which rules out
 cycling.  Rows with a negative right-hand side get an artificial variable;
 phase 1 drives the artificial sum to zero or reports its positive minimum,
@@ -24,9 +25,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
+import sys
+from array import array
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import BudgetExceededError
@@ -181,13 +187,17 @@ class _Tableau:
     Exact entries are ints, the true entry ``x / d``, from data scaled by the
     lcm ``scale`` of their denominators (the objective by its own): one
     positive factor scales every slack, artificial and reduced cost, so no
-    pivot choice changes.  Float entries are true values, with d = 1.  A
-    pivot replaces columns within ``cols`` and never rebinds it."""
+    pivot choice changes.  An exact column is one int, the sum of v << W * i
+    over its entries v, the reduced cost in the top field (``_read`` decodes
+    it).  W is 64 while every entry is below 2^30 in size, else the least
+    multiple of 64 whose t = W / 2 - 2 bounds them: a pivot's new entries,
+    below 2^(2t + 1), still decode, and one at 2^t or above repacks.  Float
+    entries are true values in lists, with d = 1."""
 
     def __init__(self, system: LpSystem, exact: bool):
         self.exact = exact
         self.zero, self.one = zero, one = (0, 1) if exact else (0.0, 1.0)
-        self.tol = 0 if exact else FLOAT_TOL
+        self.tol, self.neg = (0, None) if exact else (FLOAT_TOL, -FLOAT_TOL)
         self.scaling = _integer_scaling if exact else lambda values: (1, float)
         self.d = one
         cons = system.constraints
@@ -200,22 +210,62 @@ class _Tableau:
         self.nart = self.pivots = 0
         data = [con.bound for con in cons], *[con.coefficients.values() for con in cons]
         self.scale, conv = self.scaling(itertools.chain(*data))
-        self.cols, self.labels = [[zero] * (m + 1) for _ in range(nx)], [*range(nx)]
+        cols, self.labels = [[zero] * (m + 1) for _ in range(nx)], [*range(nx)]
         self.basis, rhs = [], []
         for i, con in enumerate(cons):
             b, sign = conv(con.bound), 1
             if con.bound < 0:  # scaling by a positive lcm keeps signs
                 b, sign = -b, -1
-                self.cols.append([zero] * i + [-one] + [zero] * (m - i))
+                cols.append([zero] * i + [-one] + [zero] * (m - i))
                 self.labels.append(nx + i)
                 self.basis.append(art + self.nart)
                 self.nart += 1
             else:
                 self.basis.append(nx + i)
             for var, c in con.coefficients.items():
-                self.cols[var][i] = sign * conv(c)
+                cols[var][i] = sign * conv(c)
             rhs.append(b)
-        self.cols.append([*rhs, zero])
+        cols.append([*rhs, zero])
+        self._pack(cols)
+        self._build_costs([zero] * art + [-one] * self.nart, cols)  # phase 1's
+
+    def _pack(self, cols: list, bits: int = 30) -> None:
+        """Store ``cols``, given as entry lists: float ones as they are,
+        exact ones each as one int, in fields wide enough for ``bits``-bit
+        entries, or for the widest entry when they are not."""
+        if not self.exact:
+            self.cols = cols
+            return
+        self.width = w = -(-(2 * bits + 4) // 64) * 64
+        t, n, k = w // 2 - 2, len(cols[0]), w // 8
+        ones = ((1 << w * n) - 1) // ((1 << w) - 1)  # 1 in every field
+        self.bias, self.low = bias, low = ones << w - 1, ones << t
+        # (col + low) & high is 0 when every field is in [-2^t, 2^t); then
+        # col < neg exactly when its top field, the reduced cost, is < 0.
+        self.high = ones * ((1 << w) - (2 << t)) | -(1 << w * n)
+        self.size, self.neg = k * n, -(1 << w * (n - 1) >> 1)
+        try:  # struct refuses an entry of 2^63 or more in size
+            raws = [struct.pack(f"<{n}q", *col) if k == 8 else b"".join(
+                v.to_bytes(k, "little", signed=True) for v in col) for col in cols]
+            self.cols = [(int.from_bytes(raw, "little") ^ bias) - bias for raw in raws]
+            if not reduce(or_, map(low.__add__, self.cols)) & self.high:
+                return
+        except struct.error:
+            pass
+        self._pack(cols, max(max(map(max, cols)), -min(map(min, cols))).bit_length())
+
+    def _read(self, col) -> Sequence:
+        """A stored column's entries, row by row and its reduced cost last."""
+        if not self.exact:
+            return col
+        raw = ((col + self.bias) ^ self.bias).to_bytes(self.size, "little")
+        if (k := self.width // 8) > 8:
+            return [int.from_bytes(raw[i : i + k], "little", signed=True)
+                    for i in range(0, len(raw), k)]
+        items = array("q", raw)
+        if sys.byteorder == "big":
+            items.byteswap()
+        return items
 
     def _value(self, x, scale: int = 1):
         """The true value of a tableau entry, undoing the exact scaling."""
@@ -224,59 +274,78 @@ class _Tableau:
     def _pivot(self, r: int, c: int) -> None:
         if self.pivots >= PIVOT_BUDGET:
             raise BudgetExceededError(f"simplex needs more than {PIVOT_BUDGET} pivots")
-        cols, d = self.cols, self.d
-        fcol, p = cols[c], cols[c][r]
+        cols, d, exact = self.cols, self.d, self.exact
+        fcol = cols[c]
+        if exact:  # field r of col is ((col + bias) >> shift & mask) - half
+            w, bias, low = self.width, self.bias, self.low
+            shift, half, mask = w * r, 1 << w - 1, (1 << w) - 1
+        p = ((fcol + bias) >> shift & mask) - half if exact else fcol[r]
         leaving, self.basis[r] = self.basis[r], self.labels[c]
         if leaving >= self.art:  # an artificial leaves no column behind
             del cols[c], self.labels[c]
         else:  # the leaving column, d * e_r, takes slot c and is updated below
-            cols[c] = [self.zero] * len(fcol)
-            cols[c][r], self.labels[c] = d, leaving
-        exact, s = self.exact, -1 if p < 0 else 1  # p < 0 only in drive-out
+            col = d << shift if exact else [d * (i == r) for i in range(len(fcol))]
+            cols[c], self.labels[c] = col, leaving
+        s = -1 if p < 0 else 1  # p < 0 only in drive-out
         if exact:
             p = self.d = s * p  # keeps d > 0
+            g = fcol - (d << shift)  # so that y * g // d also puts y in field r
         # One pass: each column's new pivot-row entry y, then its entries and
-        # reduced cost, x - f * y in floats (f == 0 keeps x, signed zeros too)
-        # and (p * x - f * y) // d in the cheapest exact form.
+        # reduced cost: x - f * y in floats (f == 0 keeps x, signed zeros
+        # too), and (p * x - f * y) // d in exact ints, on every field at
+        # once and in the cheapest form the two determinants allow.
+        grown = 0  # the OR of each new col + low, checked as in _pack
         for j, col in enumerate(cols):
-            y = s * col[r] if exact else col[r] / p
             if not exact:
+                y = col[r] / p
                 col = [x - f * y if f else x for x, f in zip(col, fcol)]
-            elif not y:  # x rescaled from d to p, kept when they are equal
-                if p != d:
-                    cols[j] = [p * x // d for x in col]
+                col[r], cols[j] = y, col
                 continue
+            y = s * (((col + bias) >> shift & mask) - half)
+            if not y:  # x rescaled from d to p, kept when they are equal
+                col = col if p == d else p * col // d
             elif p != d:
-                col = [(p * x - f * y) // d for x, f in zip(col, fcol)]
+                col = (p * col - y * g) // d
             elif d == 1:
-                col = [x - f * y for x, f in zip(col, fcol)]
+                col -= y * g
             else:  # d divides d * x - f * y, so it divides f * y
-                col = [x - f * y // d for x, f in zip(col, fcol)]
-            col[r], cols[j] = y, col
+                col -= y * g // d
+            cols[j] = col
+            grown |= col + low
+        if exact and grown & self.high:
+            self._pack([self._read(col) for col in cols])
         self.pivots += 1
 
-    def _build_costs(self, costs: list) -> None:
-        """Each column's last entry: the sum over basic rows of cost(basic) *
-        col[row], minus cost(labels[j]) * d for a stored column j; the
-        right-hand side's, the objective value, has no cost of its own."""
-        zs = [self.zero] * len(self.cols)
+    def _build_costs(self, costs: list, cols: list) -> None:
+        """Set each stored column's last entry from ``cols``, their entries:
+        the sum over basic rows of cost(basic) * col[row], minus
+        cost(labels[j]) * d for a stored column j; the right-hand side's,
+        the objective value, has no cost of its own."""
+        zs = [self.zero] * len(cols)
         for i, bcol in enumerate(self.basis):
             cb = costs[bcol]
             if cb != 0:
-                zs = [z + cb * col[i] for z, col in zip(zs, self.cols)]
-        for col, z, j in zip(self.cols, zs, [*self.labels, None]):
-            col[-1] = z if j is None else z - costs[j] * self.d
+                zs = [z + cb * col[i] for z, col in zip(zs, cols)]
+        labels = [*self.labels, None]
+        zs = [z if j is None else z - costs[j] * self.d for z, j in zip(zs, labels)]
+        if self.exact and max(max(zs), -min(zs)).bit_length() <= self.width // 2 - 2:
+            top = self.width * len(self.basis)  # the field of the reduced cost
+            olds = zip(self.cols, cols)
+            self.cols = [x + (z - col[-1] << top) for (x, col), z in zip(olds, zs)]
+        else:  # float lists, and exact costs too wide for the fields
+            self._pack([[*col[:-1], z] for col, z in zip(cols, zs)])
 
     def _iterate(self) -> bool:
         """Run pivots until optimal (True) or unbounded (False)."""
         tol, basis, labels = self.tol, self.basis, self.labels
         while True:
             # Bland's rule: the lowest label with a negative reduced cost.
-            eligible = [j for j, col in enumerate(self.cols[:-1]) if col[-1] < -tol]
+            zs = self.cols[:-1] if self.exact else [col[-1] for col in self.cols[:-1]]
+            eligible = [j for j, z in enumerate(zs) if z < self.neg]
             if not eligible:
                 return True
             enter = min(eligible, key=labels.__getitem__)
-            col, rhs = self.cols[enter], self.cols[-1]
+            col, rhs = self._read(self.cols[enter]), self._read(self.cols[-1])
             leave = -1
             for i, a in zip(range(len(basis)), col):
                 if a > tol:
@@ -297,9 +366,8 @@ class _Tableau:
     def phase_one(self) -> Fraction | float | None:
         """Minimize the artificial sum.  Returns the phase-1 infeasibility
         value when positive, else None with a basic feasible solution."""
-        self._build_costs([self.zero] * self.art + [-self.one] * self.nart)
         self._iterate()
-        value = self.cols[-1][-1]  # max of -(artificial sum), always <= 0
+        value = self._read(self.cols[-1])[-1]  # max of -(artificial sum), <= 0
         if value < -self.tol:
             return self._value(-value, self.scale)
         # Drive any zero-level artificial out of the basis on the lowest label
@@ -308,7 +376,7 @@ class _Tableau:
         # only at row i, is stored with entry -d there.
         for i in range(len(self.basis)):
             if self.basis[i] >= self.art:
-                cols = self.cols[:-1]  # the right-hand side never enters
+                cols = map(self._read, self.cols[:-1])  # the rhs never enters
                 js = [j for j, col in enumerate(cols) if abs(col[i]) > self.tol]
                 self._pivot(i, min(js, key=self.labels.__getitem__))
         return None
@@ -316,17 +384,18 @@ class _Tableau:
     def phase_two(self, objective: Sequence) -> Fraction | float | None:
         """Maximize ``objective``: its optimal value, or None if unbounded."""
         cost_scale, conv = self.scaling(objective)
-        slacks = self.art - self.nx
-        self._build_costs([conv(c) for c in objective] + [self.zero] * slacks)
+        costs = [conv(c) for c in objective] + [self.zero] * (self.art - self.nx)
+        self._build_costs(costs, [self._read(col) for col in self.cols])
         if self._iterate():
-            return self._value(self.cols[-1][-1], cost_scale)
+            return self._value(self._read(self.cols[-1])[-1], cost_scale)
         return None
 
     def point(self) -> tuple:
         xs = [self._value(self.zero)] * self.nx
+        rhs = self._read(self.cols[-1])
         for i, bcol in enumerate(self.basis):
             if bcol < self.nx:
-                xs[bcol] = self._value(self.cols[-1][i])
+                xs[bcol] = self._value(rhs[i])
         return tuple(xs)
 
 

@@ -267,7 +267,7 @@ def test_drive_out_on_a_negative_pivot_entry(monkeypatch):
     pivot = simplex._Tableau._pivot
 
     def spy(tab, r, c):
-        entries.append(tab.cols[c][r])
+        entries.append(tab._read(tab.cols[c])[r])
         pivot(tab, r, c)
 
     monkeypatch.setattr(simplex._Tableau, "_pivot", spy)
@@ -279,16 +279,18 @@ def test_drive_out_on_a_negative_pivot_entry(monkeypatch):
 def _dense(tab):
     """The full tableau a condensed one stands for: per row the columns of
     labels 0..art-1 and the right-hand side, the objective row last.  A
-    basic label's column is d * e_i and its reduced cost 0."""
+    basic label's column is d * e_i and its reduced cost 0.  Columns are
+    read through the tableau's own decoder."""
+    cols = [tab._read(col) for col in tab.cols]
     slot = {label: j for j, label in enumerate(tab.labels)}
     labels = range(tab.art)
     rows = [
-        [tab.cols[slot[j]][i] if j in slot else tab.d * (b == j) for j in labels]
-        + [tab.cols[-1][i]]
+        [cols[slot[j]][i] if j in slot else tab.d * (b == j) for j in labels]
+        + [cols[-1][i]]
         for i, b in enumerate(tab.basis)
     ]
-    zrow = [tab.cols[slot[j]][-1] if j in slot else 0 for j in labels]
-    return [*rows, zrow + [tab.cols[-1][-1]]]
+    zrow = [cols[slot[j]][-1] if j in slot else 0 for j in labels]
+    return [*rows, zrow + [cols[-1][-1]]]
 
 
 def test_exact_pivot_is_d_times_a_gauss_jordan_pivot(monkeypatch):
@@ -303,9 +305,9 @@ def test_exact_pivot_is_d_times_a_gauss_jordan_pivot(monkeypatch):
     pivot = simplex._Tableau._pivot
 
     def check(tab, r, c):
-        p, d, col = tab.cols[c][r], tab.d, tab.labels[c]
+        p, d, col = tab._read(tab.cols[c])[r], tab.d, tab.labels[c]
         before = _dense(tab)
-        ys = [column[r] for column in tab.cols]
+        ys = [tab._read(column)[r] for column in tab.cols]
         pivot(tab, r, c)
         q = tab.d
         assert q == abs(p)
@@ -360,11 +362,12 @@ def test_condensed_layout_holds_after_every_pivot(monkeypatch, exact):
         assert labels == list(range(tab.art))
         assert max(tab.labels, default=-1) < tab.art
         assert len(tab.cols) == len(tab.labels) + 1
-        assert all(len(column) == len(tab.basis) + 1 for column in tab.cols)
+        columns = [tab._read(column) for column in tab.cols]
+        assert all(len(column) == len(tab.basis) + 1 for column in columns)
         assert not hasattr(tab, "zrow")
         for i, bcol in enumerate(tab.basis):
             if bcol >= tab.art:
-                slack = tab.cols[tab.labels.index(tab.nx + i)]
+                slack = columns[tab.labels.index(tab.nx + i)]
                 assert slack[i] == -tab.d
                 assert type(slack[i]) is type(tab.one)
                 artificial_rows += 1
@@ -567,3 +570,95 @@ def test_phase_one_value_is_the_least_total_shortfall_over_vertices():
 def test_solution_shape():
     sol = LpSolution(FEASIBLE, (1,), None, 0)
     assert sol.infeasibility is None
+
+
+def _record_widths(monkeypatch):
+    """The field width of each exact tableau when it is packed, and the width
+    before and after each exact pivot, as the solver runs."""
+    packed, pivots = [], []
+    pack, pivot = simplex._Tableau._pack, simplex._Tableau._pivot
+
+    def pack_spy(tab, cols, *args):
+        pack(tab, cols, *args)
+        if tab.exact:
+            packed.append(tab.width)
+
+    def pivot_spy(tab, r, c):
+        before = tab.exact and tab.width
+        pivot(tab, r, c)
+        if tab.exact:
+            pivots.append((before, tab.width))
+
+    monkeypatch.setattr(simplex._Tableau, "_pack", pack_spy)
+    monkeypatch.setattr(simplex._Tableau, "_pivot", pivot_spy)
+    return packed, pivots
+
+
+def _check_against_vertices_and_floats(system):
+    """The exact solve of a boxed system reaches the best vertex, and the
+    float solve the same value up to rounding."""
+    sol = solve(system)
+    vertices = _enumerate_vertices(system)
+    if sol.status == INFEASIBLE:
+        assert vertices == []
+        return sol
+    assert sol.status == FEASIBLE
+    assert max_violation(system, sol.point) <= 0
+    best = max(sum(c * x for c, x in zip(system.objective, v)) for v in vertices)
+    assert sol.objective_value == best
+    float_sol = solve(system, exact=False)
+    assert float_sol.status == FEASIBLE
+    assert abs(float_sol.objective_value - float(best)) <= 1e-6 * max(1, abs(best))
+    return sol
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        LpSystem(2, (
+            LinearConstraint({0: 2**40, 1: 2**40 + 1}, 3 * 2**40),
+            LinearConstraint({0: 1, 1: -1}, 1),
+            LinearConstraint({0: 1}, 2),
+            LinearConstraint({1: 1}, 2),
+        ), objective=(1, 2)),
+        # Floats in exact mode: 0.1 and 0.7 scale by their lcm, 2^55.
+        LpSystem(2, (
+            LinearConstraint({0: 0.1, 1: 0.7}, 0.9),
+            LinearConstraint({0: -0.3, 1: -0.1}, -0.2),
+            LinearConstraint({0: 1}, 4),
+            LinearConstraint({1: 1}, 4),
+        ), objective=(2, 1)),
+    ],
+    ids=["2^40", "floats"],
+)
+def test_data_wider_than_30_bits_start_in_wider_fields(monkeypatch, system):
+    packed, pivots = _record_widths(monkeypatch)
+    sol = _check_against_vertices_and_floats(system)
+    assert sol.pivot_steps > 0
+    assert packed[0] > 64  # the first tableau is already packed wide
+    assert all(after >= 128 for _, after in pivots)
+
+
+def test_fields_widen_when_entries_outgrow_them_mid_solve(monkeypatch):
+    # Coefficients of about 20 bits: each pivot's Bareiss entries are minors
+    # one order larger, so after a pivot they pass 2^30 and the tableau
+    # repacks into 128-bit fields, and later ones into wider fields still.
+    packed, pivots = _record_widths(monkeypatch)
+    rng = random.Random(29)
+    feasible = 0
+    for _ in range(30):
+        n = rng.randint(3, 4)
+        big = lambda: rng.choice([-1, 1]) * rng.randint(2**19, 2**20)  # noqa: E731
+        cons = [
+            LinearConstraint({v: big() for v in range(n)}, big())
+            for _ in range(rng.randint(3, 4))
+        ]
+        cons += [LinearConstraint({v: 1}, rng.randint(1, 2**20)) for v in range(n)]
+        objective = tuple(rng.randint(-3, 3) for _ in range(n))
+        sol = _check_against_vertices_and_floats(LpSystem(n, tuple(cons), objective))
+        feasible += sol.status == FEASIBLE
+    assert feasible >= 15
+    assert packed.count(64) == 30  # each system's data fit 64-bit fields
+    widened = [(before, after) for before, after in pivots if after > before]
+    assert len(widened) >= 20
+    assert {(64, 128), (128, 192), (192, 256)} <= set(widened)
