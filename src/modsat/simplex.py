@@ -244,15 +244,14 @@ class _Tableau:
         # col < neg exactly when its top field, the reduced cost, is < 0.
         self.high = ones * ((1 << w) - (2 << t)) | -(1 << w * n)
         self.size, self.neg = k * n, -(1 << w * (n - 1) >> 1)
-        try:  # struct refuses an entry of 2^63 or more in size
+        try:
             raws = [struct.pack(f"<{n}q", *col) if k == 8 else b"".join(
                 v.to_bytes(k, "little", signed=True) for v in col) for col in cols]
-            self.cols = [(int.from_bytes(raw, "little") ^ bias) - bias for raw in raws]
-            if not reduce(or_, map(low.__add__, self.cols)) & self.high:
-                return
-        except struct.error:
-            pass
-        self._pack(cols, max(max(map(max, cols)), -min(map(min, cols))).bit_length())
+        except struct.error:  # an entry of 2^63 or more in size
+            raws = []
+        self.cols = [(int.from_bytes(raw, "little") ^ bias) - bias for raw in raws]
+        if not raws or reduce(or_, map(low.__add__, self.cols)) & self.high:
+            self._pack(cols, max(max(map(max, cols)), -min(map(min, cols))).bit_length())
 
     def _read(self, col) -> Sequence:
         """A stored column's entries, row by row and its reduced cost last."""
