@@ -645,10 +645,13 @@ def test_fields_widen_when_entries_outgrow_them_mid_solve(monkeypatch):
     # repacks into 128-bit fields, and later ones into wider fields still.
     packed, pivots = _record_widths(monkeypatch)
     rng = random.Random(29)
+
+    def big():
+        return rng.choice([-1, 1]) * rng.randint(2**19, 2**20)
+
     feasible = 0
     for _ in range(30):
         n = rng.randint(3, 4)
-        big = lambda: rng.choice([-1, 1]) * rng.randint(2**19, 2**20)  # noqa: E731
         cons = [
             LinearConstraint({v: big() for v in range(n)}, big())
             for _ in range(rng.randint(3, 4))
