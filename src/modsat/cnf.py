@@ -41,6 +41,8 @@ class Clause(tuple):
 def clause_of(*codes: int) -> Clause:
     """The one constructor and the one check of a clause of signed codes."""
     for code in codes:
+        # Not errors.check_int: a code is a nonzero int of either sign, so
+        # there is no floor, and 0 has its own message below.
         if type(code) is not int:
             raise ValueError(f"literals must be integers, got {codes!r}")
     if not codes:
@@ -58,8 +60,7 @@ class Formula:
     clauses: tuple[Clause, ...]
 
     def __post_init__(self):
-        if type(self.num_vars) is not int or self.num_vars < 0:
-            raise ValueError(f"num_vars must be an int >= 0, got {self.num_vars!r}")
+        check_int(self.num_vars, "num_vars", 0)
         if type(self.clauses) is not tuple or not all(
             isinstance(c, Clause) for c in self.clauses
         ):

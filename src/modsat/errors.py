@@ -1,4 +1,8 @@
-"""Shared exception types and the integer-argument check."""
+"""Shared exception types and the argument checks: an int at or above a floor,
+and a finite real number."""
+
+import math
+from fractions import Fraction
 
 
 class DimacsError(ValueError):
@@ -36,3 +40,14 @@ def check_int(value: int, what: str, minimum: int) -> None:
         raise TypeError(f"{what} must be an int, got {value!r}")
     if value < minimum:
         raise ValueError(f"{what} must be >= {minimum}, got {value}")
+
+
+def check_real(value, what: str):
+    """``value``, if it is an int (not a bool), a Fraction or a finite float;
+    ints and Fractions are always finite (and ``math.isfinite`` overflows on
+    huge Fractions)."""
+    if type(value) not in (int, Fraction, float):
+        raise TypeError(f"{what} must be an int, a Fraction or a float, got {value!r}")
+    if type(value) is float and not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return value

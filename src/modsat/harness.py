@@ -324,6 +324,8 @@ def gen_corpus(
         ratios = tuple(ratios)
         if not ratios:
             raise ValueError("ratios must list at least one ratio")
+        # Not errors.check_real: file names format a ratio with :g, which a
+        # Fraction does not support on Python 3.11.
         if odd := [ratio for ratio in ratios if type(ratio) not in (int, float)]:
             raise TypeError(f"ratios must hold ints or floats, got {odd[0]!r}")
         if not all(0 < ratio < math.inf for ratio in ratios):

@@ -17,15 +17,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import BudgetExceededError, check_int
+from .errors import BudgetExceededError, check_int, check_real
 
 # Cap on how many tables an enumeration may yield.
 DEFAULT_TABLE_BUDGET = 10**6
-
-
-def _check_arity(n: int) -> None:
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"arity must be an integer >= 2, got {n!r}")
 
 
 def _check_length(arity: int, items, unit: str) -> None:
@@ -40,27 +35,20 @@ def _check_indices(arity: int, indices, unit: str) -> None:
     """``indices`` is a tuple of ``arity`` shifts in range(arity)."""
     _check_length(arity, indices, unit)
     for i in indices:
-        if type(i) is not int or not 0 <= i < arity:
+        check_int(i, "index", 0)
+        if i >= arity:
             raise ValueError(f"index {i!r} out of range for arity {arity}")
-
-
-def _floor_checked(a) -> int:
-    if isinstance(a, float) and not math.isfinite(a):
-        raise ValueError(f"argument must be finite, got {a!r}")
-    return math.floor(a)
 
 
 def mod_shift(n: int, k: int, a) -> int:
     """Return ``(floor(a) + k) mod n``.
 
-    The generating primitive for every table in this module.  ``a`` may be
-    any real-valued number type (int, float, Fraction); only its floor
-    matters.
+    The generating primitive for every table in this module.  ``a`` is an
+    int, a Fraction or a finite float, not a bool; only its floor matters.
     """
-    _check_arity(n)
-    if type(k) is not int or k < 0:
-        raise ValueError(f"shift must be an integer >= 0, got {k!r}")
-    return (_floor_checked(a) + k) % n
+    check_int(n, "arity", 2)
+    check_int(k, "shift", 0)
+    return (math.floor(check_real(a, "argument")) + k) % n
 
 
 @dataclass(frozen=True)
@@ -75,11 +63,11 @@ class UnaryTable:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        _check_arity(self.arity)
+        check_int(self.arity, "arity", 2)
         _check_indices(self.arity, self.indices, "indices")
 
     def apply(self, a) -> int:
-        x = _floor_checked(a)
+        x = math.floor(check_real(a, "argument"))
         if not 0 <= x < self.arity:
             raise ValueError(f"argument {a!r} outside domain [0, {self.arity})")
         return mod_shift(self.arity, self.indices[x], a)
@@ -102,14 +90,14 @@ class BinaryTable:
     indices: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        _check_arity(self.arity)
+        check_int(self.arity, "arity", 2)
         _check_length(self.arity, self.indices, "rows")
         for row in self.indices:
             _check_indices(self.arity, row, "columns")
 
     def apply(self, a, b) -> int:
-        r = _floor_checked(a)
-        c = _floor_checked(b)
+        r = math.floor(check_real(a, "argument"))
+        c = math.floor(check_real(b, "argument"))
         if not 0 <= r < self.arity or not 0 <= c < self.arity:
             raise ValueError(
                 f"arguments ({a!r}, {b!r}) outside domain [0, {self.arity})^2"
@@ -132,7 +120,7 @@ def _shift_tuples(n: int, family: str, budget: int) -> Iterator[tuple]:
     which must be an int >= 0.  The running product stops growing once it
     passes the budget, so the check costs a few multiplications at any arity.
     """
-    _check_arity(n)
+    check_int(n, "arity", 2)
     check_int(budget, "table budget", 0)
     cells = n * n if family == "binary" else n
     total = 1
@@ -208,8 +196,7 @@ def clause_join_table(width: int) -> BinaryTable:
     The induced value is 0 wherever either operand is 0 and 1 everywhere
     else, i.e. zero-is-true disjunction lifted to the sum domain.
     """
-    if not isinstance(width, int) or width < 2:
-        raise ValueError(f"clause width must be an integer >= 2, got {width!r}")
+    check_int(width, "clause width", 2)
     n = width + 1
     rows = []
     for a in range(n):

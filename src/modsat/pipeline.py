@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import relax, simplex
 from .cnf import Formula, require_uniform
-from .mvlogic import _check_arity
+from .errors import check_int
 
 SAT_CLAIM = "sat_claim"
 UNSAT_CLAIM = "unsat_claim"
@@ -39,11 +39,8 @@ class PipelineConfig:
     def __post_init__(self):
         relax._check_modes(self.negation_mode, self.bound_mode)
         base = self.rounding_base
-        if base != ROUND_BASE_WIDTH and (not isinstance(base, int) or base < 2):
-            raise ValueError(
-                f"rounding base must be an integer >= 2 or {ROUND_BASE_WIDTH!r},"
-                f" got {base!r}"
-            )
+        if base != ROUND_BASE_WIDTH:
+            check_int(base, f"rounding base other than {ROUND_BASE_WIDTH!r}", 2)
         if self.objective not in _OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
 
@@ -75,7 +72,7 @@ def round_assignment(
     point: Sequence, base: int
 ) -> tuple[tuple[bool, ...], tuple[RoundAnomaly, ...]]:
     """Round exact LP coordinates to booleans via floor(X) mod base."""
-    _check_arity(base)
+    check_int(base, "arity", 2)
     try:
         mods = [x.numerator // x.denominator % base for x in point]
     except AttributeError:  # floats have no numerator

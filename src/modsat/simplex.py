@@ -35,7 +35,7 @@ from functools import reduce
 from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, check_int, check_real
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -50,17 +50,6 @@ PIVOT_BUDGET = 100_000
 # Far above any tableau solved: that relaxation stores 209,312 cells at
 # n = 160, where (num_vars + rows + 1) * (rows + 1), its bound, is 847,376.
 TABLEAU_BUDGET = 10_000_000
-
-
-def _finite(value, what: str):
-    """``value``, if it is an int (not a bool), a Fraction or a finite float;
-    ints and Fractions are always finite (and ``math.isfinite`` overflows on
-    huge Fractions)."""
-    if type(value) not in (int, Fraction, float):
-        raise TypeError(f"{what} must be an int, a Fraction or a float, got {value!r}")
-    if type(value) is float and not math.isfinite(value):
-        raise ValueError(f"{what} must be finite, got {value!r}")
-    return value
 
 
 class LinearConstraint(namedtuple("LinearConstraint", "coefficients bound offset")):
@@ -85,13 +74,12 @@ class LinearConstraint(namedtuple("LinearConstraint", "coefficients bound offset
             )
         canon = {}
         for var, coeff in coefficients.items():
-            if type(var) is not int or var < 0:
-                raise ValueError(f"variable index must be an int >= 0, got {var!r}")
-            if _finite(coeff, "coefficient") != 0:
+            check_int(var, "variable index", 0)
+            if check_real(coeff, "coefficient") != 0:
                 canon[var] = coeff
         canon = dict(sorted(canon.items()))
         return super().__new__(
-            cls, canon, _finite(bound, "bound"), _finite(offset, "offset")
+            cls, canon, check_real(bound, "bound"), check_real(offset, "offset")
         )
 
 
@@ -104,8 +92,7 @@ class LpSystem:
     objective: tuple[int | Fraction, ...] | None = None
 
     def __post_init__(self):
-        if type(self.num_vars) is not int or self.num_vars < 0:
-            raise ValueError(f"num_vars must be an int >= 0, got {self.num_vars!r}")
+        check_int(self.num_vars, "num_vars", 0)
         if type(self.constraints) is not tuple:
             raise TypeError("constraints must be a tuple of LinearConstraint")
         for con in self.constraints:
@@ -124,7 +111,7 @@ class LpSystem:
                 f"objective length {len(self.objective)} != {self.num_vars}"
             )
         for c in self.objective or ():
-            _finite(c, "objective entry")
+            check_real(c, "objective entry")
 
     @classmethod
     def _make(cls, num_vars: int, rows: tuple, objective=None) -> LpSystem:

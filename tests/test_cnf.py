@@ -92,11 +92,11 @@ def test_clause_is_built_only_by_clause_of():
 
 
 def test_formula_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="num_vars must be >= 0, got -1"):
         Formula(-1, ())
     with pytest.raises(ValueError):
         Formula(2, (clause_of(3),))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="num_vars must be an int, got True"):
         Formula(True, (clause_of(1),))
     with pytest.raises(TypeError):  # would be stored exhausted
         Formula(2, (c for c in [clause_of(1, 2)]))

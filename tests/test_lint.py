@@ -1,6 +1,7 @@
 """Every name a module of src/modsat or tests imports is read in that module,
-only the checked producers read the unchecked constructors, and only the
-benchmark reads the alias oracle.verify."""
+only the checked producers read the unchecked constructors, only the
+benchmark reads the alias oracle.verify, and int arguments are checked in
+errors alone."""
 
 import ast
 from pathlib import Path
@@ -91,3 +92,65 @@ def test_only_the_benchmark_reads_oracle_verify():
     for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
         reads += _verify_reads(ast.parse(path.read_text(encoding="utf-8")), path)
     assert reads == []
+
+
+def _names_int(node):
+    """``node`` is ``int`` or a tuple that holds it."""
+    elts = node.elts if isinstance(node, ast.Tuple) else [node]
+    return any(isinstance(e, ast.Name) and e.id == "int" for e in elts)
+
+
+class _IntTypeTests(ast.NodeVisitor):
+    """(file, enclosing function) of every ``type(x) ... int`` comparison and
+    every ``isinstance(x, int)`` call."""
+
+    def __init__(self, path):
+        self.path, self.scope, self.found = path, ["<module>"], set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Compare(self, node):
+        left = node.left
+        if (
+            isinstance(left, ast.Call)
+            and isinstance(left.func, ast.Name)
+            and left.func.id == "type"
+            and any(_names_int(c) for c in node.comparators)
+        ):
+            self.found.add((self.path.name, self.scope[-1]))
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        if (
+            isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+            and _names_int(node.args[1])
+        ):
+            self.found.add((self.path.name, self.scope[-1]))
+        self.generic_visit(node)
+
+
+def test_int_arguments_are_checked_in_errors_alone():
+    # errors.check_int and errors.check_real hold the int and real-number
+    # rules; any other type test on int would be a second copy of them.
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "errors.py":
+            visitor = _IntTypeTests(path)
+            visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+            found |= visitor.found
+    assert found == {
+        # A literal code is a nonzero int of either sign, so it has no floor.
+        ("cnf.py", "clause_of"),
+        # Picks the values that have a denominator other than 1: a filter,
+        # not an argument check.
+        ("simplex.py", "_integer_scaling"),
+        # Ratios are ints or floats but not Fractions, which check_real
+        # accepts: file names format a ratio with :g, which a Fraction lacks
+        # on Python 3.11.
+        ("harness.py", "gen_corpus"),
+    }

@@ -56,11 +56,11 @@ def test_mod_shift_examples():
 
 
 def test_mod_shift_domain_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="arity must be >= 2, got 1"):
         mod_shift(1, 0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="shift must be >= 0, got -1"):
         mod_shift(2, -1, 0)
-    with pytest.raises(ValueError, match="shift must be an integer >= 0, got True"):
+    with pytest.raises(TypeError, match="shift must be an int, got True"):
         mod_shift(2, True, 0)
     with pytest.raises(ValueError):
         mod_shift(2, 0, float("inf"))
@@ -207,13 +207,14 @@ def test_table_validation():
         (UnaryTable, (0,), ValueError, "expected 2 indices, got 1"),
         (UnaryTable, (0, 2), ValueError, "index 2 out of range for arity 2"),
         (UnaryTable, [0, 1], TypeError, "indices must be a tuple, got list"),
-        (UnaryTable, (True, False), ValueError, "index True out of range for arity 2"),
+        (UnaryTable, (True, False), TypeError, "index must be an int, got True"),
+        (UnaryTable, (0, -1), ValueError, "index must be >= 0, got -1"),
         (BinaryTable, ((0, 0),), ValueError, "expected 2 rows, got 1"),
         (BinaryTable, ((0, 0), (0,)), ValueError, "expected 2 columns, got 1"),
         (BinaryTable, ((0, 0), (0, 5)), ValueError, "index 5 out of range for arity 2"),
         (BinaryTable, [(0, 0), (0, 0)], TypeError, "rows must be a tuple, got list"),
         (BinaryTable, ((0, 0), [0, 0]), TypeError, "columns must be a tuple, got list"),
-        (BinaryTable, ((0, 0), (0, True)), ValueError, "index True out of range for arity 2"),
+        (BinaryTable, ((0, 0), (0, True)), TypeError, "index must be an int, got True"),
     ]
     for table, indices, error, message in cases:
         with pytest.raises(error) as err:
@@ -246,7 +247,7 @@ def test_clause_join_table_zero_dominates(width):
 
 
 def test_clause_join_table_rejects_width_below_two():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="clause width must be >= 2, got 1"):
         clause_join_table(1)
 
 

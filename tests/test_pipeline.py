@@ -44,9 +44,9 @@ def test_config_validation():
         PipelineConfig(negation_mode="other")
     with pytest.raises(ValueError):
         PipelineConfig(bound_mode="loose")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rounding base other than 'k' must be >= 2, got 1"):
         PipelineConfig(rounding_base=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="rounding base other than 'k' must be an int"):
         PipelineConfig(rounding_base=2.0)
     with pytest.raises(ValueError):
         PipelineConfig(objective="min")

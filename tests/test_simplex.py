@@ -38,14 +38,14 @@ def test_constraint_canonicalization():
 
 
 def test_system_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="num_vars must be >= 0, got -1"):
         LpSystem(-1, ())
     with pytest.raises(ValueError):
         LpSystem(1, (LinearConstraint({1: 1}, 0),))
     with pytest.raises(ValueError):
         LpSystem(2, (), objective=(1,))
     for num_vars in (2.5, True):
-        with pytest.raises(ValueError, match="num_vars"):
+        with pytest.raises(TypeError, match="num_vars must be an int"):
             LpSystem(num_vars, ())
 
 
@@ -104,10 +104,15 @@ def test_coefficients_must_be_a_mapping(coefficients):
         LinearConstraint(coefficients, 1)
 
 
-@pytest.mark.parametrize("var", [True, False, 1.0, "0", None])
+@pytest.mark.parametrize("var", [True, False, 1.0, "0", None, -1])
 def test_variable_indices_must_be_ints(var):
     # Beside an int index, so that the check must come before the sort.
-    with pytest.raises(ValueError, match="variable index must be an int"):
+    error, message = (
+        (ValueError, "variable index must be >= 0, got -1")
+        if var == -1
+        else (TypeError, "variable index must be an int")
+    )
+    with pytest.raises(error, match=message):
         LinearConstraint({5: 1, var: 1}, 1)
 
 
