@@ -28,9 +28,9 @@ def test_no_unused_imports(path):
 
 
 
-class _UncheckedConstructions(ast.NodeVisitor):
-    """(file, enclosing function, construction) of every read of an
-    ``X._make`` or of ``tuple.__new__``, called or passed on."""
+class _ScopedVisitor(ast.NodeVisitor):
+    """Collects findings in ``found``, each tagged with the name of its
+    enclosing function in ``scope[-1]``."""
 
     def __init__(self, path):
         self.path, self.scope, self.found = path, ["<module>"], set()
@@ -41,6 +41,11 @@ class _UncheckedConstructions(ast.NodeVisitor):
         self.scope.pop()
 
     visit_AsyncFunctionDef = visit_FunctionDef
+
+
+class _UncheckedConstructions(_ScopedVisitor):
+    """(file, enclosing function, construction) of every read of an
+    ``X._make`` or of ``tuple.__new__``, called or passed on."""
 
     def visit_Attribute(self, node):
         construction = ast.unparse(node)
@@ -100,17 +105,9 @@ def _names_int(node):
     return any(isinstance(e, ast.Name) and e.id == "int" for e in elts)
 
 
-class _IntTypeTests(ast.NodeVisitor):
+class _IntTypeTests(_ScopedVisitor):
     """(file, enclosing function) of every ``type(x) ... int`` comparison and
     every ``isinstance(x, int)`` call."""
-
-    def __init__(self, path):
-        self.path, self.scope, self.found = path, ["<module>"], set()
-
-    def visit_FunctionDef(self, node):
-        self.scope.append(node.name)
-        self.generic_visit(node)
-        self.scope.pop()
 
     def visit_Compare(self, node):
         left = node.left
