@@ -6,7 +6,8 @@ column per nonbasic variable by one rule.
 Arithmetic is exact by default: Python ints over one common denominator, the
 basis determinant, with fraction-free pivots (Edmonds 1967; Bareiss 1968)
 whose divisions are all exact.  An exact column is one int with a signed
-field per entry (broadword arithmetic; Knuth, TAOCP 4A 7.1.3), so a pivot
+field per entry (broadword arithmetic; Knuth, TAOCP 4A 7.1.3), 32 bits wide
+while every entry fits 14 bits and wider when one outgrows them, so a pivot
 updates it in a few big-int operations: a column with pivot-row entry 0 is
 kept or rescaled, and x - f * y (both determinants 1) or x - f * y // d
 (equal ones) replace (p * x - f * y) // d.  Float mode (``exact=False``),
@@ -176,10 +177,11 @@ class _Tableau:
     positive factor scales every slack, artificial and reduced cost, so no
     pivot choice changes.  An exact column is one int, the sum of v << W * i
     over its entries v, the reduced cost in the top field (``_read`` decodes
-    it).  W is 64 while every entry is below 2^30 in size, else the least
-    multiple of 64 whose t = W / 2 - 2 bounds them: a pivot's new entries,
-    below 2^(2t + 1), still decode, and one at 2^t or above repacks.  Float
-    entries are true values in lists, with d = 1."""
+    it, through ``array('i')`` at W = 32).  W is 32 while every entry is
+    below 2^14 in size, else the least multiple of 64 whose t = W / 2 - 2
+    bounds them: a pivot's new entries, below 2^(2t + 1), still decode, and
+    one at 2^t or above repacks.  Float entries are true values in lists,
+    with d = 1."""
 
     def __init__(self, system: LpSystem, exact: bool):
         self.exact = exact
@@ -216,15 +218,17 @@ class _Tableau:
         self._pack(cols)
         self._build_costs([zero] * art + [-one] * self.nart, cols)  # phase 1's
 
-    def _pack(self, cols: list, bits: int = 30) -> None:
+    def _pack(self, cols: list, bits: int = 14) -> None:
         """Store ``cols``, given as entry lists: float ones as they are,
         exact ones each as one int, in fields wide enough for ``bits``-bit
-        entries, or for the widest entry when they are not."""
+        entries, or for the widest entry when they are not: 32 bits for
+        14-bit entries, else the least multiple of 64 bits that holds them."""
         if not self.exact:
             self.cols = cols
             return
-        self.width = w = -(-(2 * bits + 4) // 64) * 64
+        self.width = w = 32 if bits <= 14 else -(-(2 * bits + 4) // 64) * 64
         t, n, k = w // 2 - 2, len(cols[0]), w // 8
+        self.code = code = {32: "i", 64: "q"}.get(w)  # for struct and array
         ones = ((1 << w * n) - 1) // ((1 << w) - 1)  # 1 in every field
         self.bias, self.low = bias, low = ones << w - 1, ones << t
         # (col + low) & high is 0 when every field is in [-2^t, 2^t); then
@@ -232,9 +236,9 @@ class _Tableau:
         self.high = ones * ((1 << w) - (2 << t)) | -(1 << w * n)
         self.size, self.neg = k * n, -(1 << w * (n - 1) >> 1)
         try:
-            raws = [struct.pack(f"<{n}q", *col) if k == 8 else b"".join(
+            raws = [struct.pack(f"<{n}{code}", *col) if code else b"".join(
                 v.to_bytes(k, "little", signed=True) for v in col) for col in cols]
-        except struct.error:  # an entry of 2^63 or more in size
+        except struct.error:  # an entry of 2^(W - 1) or more in size
             raws = []
         self.cols = [(int.from_bytes(raw, "little") ^ bias) - bias for raw in raws]
         if not raws or reduce(or_, map(low.__add__, self.cols)) & self.high:
@@ -248,7 +252,7 @@ class _Tableau:
         if (k := self.width // 8) > 8:
             return [int.from_bytes(raw[i : i + k], "little", signed=True)
                     for i in range(0, len(raw), k)]
-        items = array("q", raw)
+        items = array(self.code, raw)
         if sys.byteorder == "big":
             items.byteswap()
         return items

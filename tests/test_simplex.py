@@ -579,13 +579,18 @@ def test_solution_shape():
 
 def _record_widths(monkeypatch):
     """The field width of each exact tableau when it is packed, and the width
-    before and after each exact pivot, as the solver runs."""
-    packed, pivots = [], []
+    before and after each exact pivot, as the solver runs.  A packing that
+    retries at a wider width inside ``_pack`` is recorded once."""
+    packed, pivots, depth = [], [], [0]
     pack, pivot = simplex._Tableau._pack, simplex._Tableau._pivot
 
     def pack_spy(tab, cols, *args):
-        pack(tab, cols, *args)
-        if tab.exact:
+        depth[0] += 1
+        try:
+            pack(tab, cols, *args)
+        finally:
+            depth[0] -= 1
+        if tab.exact and not depth[0]:
             packed.append(tab.width)
 
     def pivot_spy(tab, r, c):
@@ -615,6 +620,39 @@ def _check_against_vertices_and_floats(system):
     assert float_sol.status == FEASIBLE
     assert abs(float_sol.objective_value - float(best)) <= 1e-6 * max(1, abs(best))
     return sol
+
+
+def test_small_data_start_in_32_bit_fields(monkeypatch):
+    # lp-pivot's systems (affine k-1 max-sum, n=5) keep every entry below
+    # 2^14, so they are packed in 32-bit fields and no pivot widens them.
+    packed, pivots = _record_widths(monkeypatch)
+    for system in simplex_systems()[:30]:
+        assert solve(system).pivot_steps > 0
+    assert set(packed) == {32}
+    assert len(pivots) >= 300 and set(pivots) == {(32, 32)}
+    # Coefficients of about 10 bits fit 32-bit fields too, but a pivot's
+    # Bareiss entries pass 2^14, so the tableau repacks into 64-bit fields.
+    rng = random.Random(31)
+
+    def mid():
+        return rng.choice([-1, 1]) * rng.randint(2**9, 2**10)
+
+    feasible = widened = 0
+    for _ in range(30):
+        del packed[:], pivots[:]
+        n = rng.randint(3, 4)
+        cons = [
+            LinearConstraint({v: mid() for v in range(n)}, mid())
+            for _ in range(rng.randint(3, 4))
+        ]
+        cons += [LinearConstraint({v: 1}, rng.randint(1, 2**10)) for v in range(n)]
+        objective = tuple(rng.randint(-3, 3) for _ in range(n))
+        sol = _check_against_vertices_and_floats(LpSystem(n, tuple(cons), objective))
+        feasible += sol.status == FEASIBLE
+        assert packed[0] == 32
+        widened += (32, 64) in pivots
+    assert feasible >= 15
+    assert widened >= 20
 
 
 @pytest.mark.parametrize(
