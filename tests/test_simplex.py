@@ -586,10 +586,8 @@ def _record_widths(monkeypatch):
 
     def pack_spy(tab, cols, *args):
         depth[0] += 1
-        try:
-            pack(tab, cols, *args)
-        finally:
-            depth[0] -= 1
+        pack(tab, cols, *args)
+        depth[0] -= 1
         if tab.exact and not depth[0]:
             packed.append(tab.width)
 
