@@ -21,6 +21,7 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -147,16 +148,43 @@ class DiffReport:
         }
 
     def to_canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        """``json.dumps(self.to_dict(), sort_keys=True, indent=2)`` plus a
+        newline.
+
+        ``indent`` selects json's pure-Python encoder, so it encodes only the
+        small head.  The records, whose key sorts last, go through json's C
+        encoder in one call, with the line break and indent before each
+        record key as its item separator.  Records are flat and an encoded
+        string holds no raw line break, so a "}" before a line break ends a
+        record, and only the record boundaries need laying out.
+        """
+        head = json.dumps(
+            {
+                "aggregates": self.aggregates(),
+                "config": self.config,
+                "fits": self.fits(),
+            },
+            sort_keys=True,
+            indent=2,
+        )
+        records = json.dumps(
+            [r.to_dict() for r in self.records],
+            sort_keys=True,
+            separators=(",\n      ", ": "),
+        )
+        if self.records:
+            records = records[2:-2].replace(
+                "},\n      {", "\n    },\n    {\n      "
+            )
+            records = f"[\n    {{\n      {records}\n    }}\n  ]"
+        return f'{head[:-2]},\n  "records": {records}\n}}\n'
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_RECORD_FIELDS)
-        for r in self.records:
-            writer.writerow(
-                ["" if v is None else v for v in r.to_dict().values()]
-            )
+        # csv writes None as an empty field.
+        writer.writerows(map(attrgetter(*_RECORD_FIELDS), self.records))
         return buf.getvalue()
 
 

@@ -1,12 +1,16 @@
 """Differential harness: classification, reports, corpus tooling."""
 
+import csv
+import io
+import json
 import math
 import re
+import typing
 from fractions import Fraction
 
 import pytest
 
-from modsat import harness, oracle, pipeline, simplex
+from modsat import harness, oracle, pipeline, relax, simplex
 from modsat.cnf import Formula, clause_of, parse_dimacs, random_kcnf
 from modsat.errors import DimacsError
 from modsat.foldeval import fold_eval
@@ -14,6 +18,7 @@ from modsat.harness import (
     BUDGET_EXCEEDED,
     CATEGORIES,
     ERROR_CATEGORY,
+    DiffRecord,
     DiffReport,
     bench_eval,
     classify,
@@ -232,6 +237,96 @@ def test_record_serialisation(monkeypatch):
         header,
         "allpos,error,error,,error,,3,2,2,0,0,,0,RuntimeError: injected failure",
     ]
+
+
+def _indented_json(report):
+    """Reference canonical JSON: one indented dumps of the whole report."""
+    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+def _row_by_row_csv(report):
+    """Reference CSV: one converted row per record."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(harness._RECORD_FIELDS)
+    for r in report.records:
+        writer.writerow(["" if v is None else v for v in r.to_dict().values()])
+    return buf.getvalue()
+
+
+def _single_record_report():
+    report = diff_run(small_corpus()[:1])
+    assert set(report.fits().values()) == {None}
+    return report
+
+
+def _zero_budget_report():
+    report = diff_run(small_corpus(), oracle_budget=0)
+    assert all(r.oracle_nodes is None for r in report.records)
+    return report
+
+
+def _corpus_report(config):
+    corpus = small_corpus() + [
+        (f"r{seed}", random_kcnf(12, 51, 3, seed)) for seed in range(8)
+    ]
+    return diff_run(corpus, config)
+
+
+def _odd_text_report():
+    texts = [
+        'q"uote',
+        "}",
+        '},\n{"x": 1}',
+        "raw\nline",
+        "},\n      {",
+        "na\u00efve \u2603 \U0001d11e",
+    ]
+    records = tuple(
+        DiffRecord(
+            instance_id=text,
+            category=ERROR_CATEGORY,
+            claim="error",
+            oracle_status="error",
+            num_vars=i,
+            num_clauses=1,
+            width=None,
+            error=f"RuntimeError: {text}",
+        )
+        for i, text in enumerate(texts)
+    )
+    return DiffReport({"note": '}\n{"'}, records)
+
+
+REPORTS = {
+    "empty": lambda: diff_run([]),
+    "single_record": _single_record_report,
+    "zero_oracle_budget": _zero_budget_report,
+    "default_config": lambda: _corpus_report(PipelineConfig()),
+    "affine_k_minus_1_max_sum": lambda: _corpus_report(
+        PipelineConfig(
+            relax.AFFINE, relax.BOUND_K_MINUS_1, 2, pipeline.OBJECTIVE_MAX_SUM
+        )
+    ),
+    "odd_text": _odd_text_report,
+}
+
+
+@pytest.mark.parametrize("build", REPORTS.values(), ids=REPORTS.keys())
+def test_report_text_matches_the_reference_writers(build):
+    report = build()
+    assert report.to_canonical_json() == _indented_json(report)
+    assert report.to_csv() == _row_by_row_csv(report)
+
+
+def test_record_fields_are_flat():
+    # to_canonical_json encodes records in one call and lays out only
+    # their boundaries, which holds for flat records alone.
+    allowed = {str, int, bool, type(None)}
+    hints = typing.get_type_hints(DiffRecord)
+    for name in harness._RECORD_FIELDS:
+        kinds = set(typing.get_args(hints[name])) or {hints[name]}
+        assert kinds <= allowed, f"DiffRecord.{name} is {hints[name]}"
 
 
 def test_fit_exponent_recovers_powers():
