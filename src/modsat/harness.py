@@ -158,20 +158,11 @@ class DiffReport:
         string holds no raw line break, so a "}" before a line break ends a
         record, and only the record boundaries need laying out.
         """
-        head = json.dumps(
-            {
-                "aggregates": self.aggregates(),
-                "config": self.config,
-                "fits": self.fits(),
-            },
-            sort_keys=True,
-            indent=2,
-        )
+        report = self.to_dict()
         records = json.dumps(
-            [r.to_dict() for r in self.records],
-            sort_keys=True,
-            separators=(",\n      ", ": "),
+            report.pop("records"), sort_keys=True, separators=(",\n      ", ": ")
         )
+        head = json.dumps(report, sort_keys=True, indent=2)
         if self.records:
             records = records[2:-2].replace(
                 "},\n      {", "\n    },\n    {\n      "
