@@ -11,7 +11,7 @@ import random
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from math import ceil, log
 from typing import Sequence
 
@@ -26,20 +26,9 @@ _CANONICAL_HEADER = re.compile(r"p cnf ([0-9]+) ([0-9]+)").fullmatch
 _CANONICAL_CHARS = re.compile(r"[-0-9 \n]*").fullmatch
 
 
-class Clause(tuple):
-    """A tuple of signed DIMACS codes: v for x_v and -v for not x_v."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args):
-        raise TypeError("build a Clause with clause_of(*codes)")
-
-    def __reduce__(self):  # pickle and copy rebuild from the codes
-        return clause_of, tuple(self)
-
-
-def clause_of(*codes: int) -> Clause:
-    """The one constructor and the one check of a clause of signed codes."""
+def clause_of(*codes: int) -> tuple[int, ...]:
+    """``codes`` as a clause, once checked: a plain tuple of signed DIMACS
+    codes, v for x_v and -v for not x_v.  The one set of clause rules."""
     for code in codes:
         # Not errors.check_int: a code is a nonzero int of either sign, so
         # there is no floor, and 0 has its own message below.
@@ -51,20 +40,24 @@ def clause_of(*codes: int) -> Clause:
         raise ValueError("0 inside clause body: 0 terminates a clause")
     if len(set(codes)) != len(codes):
         raise ValueError(f"duplicate literal in clause {codes}")
-    return tuple.__new__(Clause, codes)
+    return codes
 
 
 @dataclass(frozen=True)
 class Formula:
     num_vars: int
-    clauses: tuple[Clause, ...]
+    clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         check_int(self.num_vars, "num_vars", 0)
+        # Exact tuples: the garbage collector untracks a tuple of ints, and
+        # no subclass or list slips past clause_of's rules.
         if type(self.clauses) is not tuple or not all(
-            isinstance(c, Clause) for c in self.clauses
+            type(c) is tuple for c in self.clauses
         ):
             raise TypeError("clauses must be a tuple of clauses built with clause_of")
+        for clause in self.clauses:
+            clause_of(*clause)
         top = max(map(abs, chain.from_iterable(self.clauses)), default=0)
         if top > self.num_vars:
             raise ValueError(
@@ -73,7 +66,7 @@ class Formula:
             )
 
     @classmethod
-    def _make(cls, num_vars: int, clauses: tuple[Clause, ...]) -> Formula:
+    def _make(cls, num_vars: int, clauses: tuple[tuple[int, ...], ...]) -> Formula:
         """Formula(num_vars, clauses) unchecked, for data its producer checked."""
         self = object.__new__(cls)
         self.__dict__.update(num_vars=num_vars, clauses=clauses)
@@ -137,7 +130,7 @@ def parse_dimacs(text: str | bytes) -> Formula:
         return Formula._make(*parsed)
     num_vars = None
     num_clauses = None
-    clauses: list[Clause] = []
+    clauses: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line[0] == "c":
@@ -183,7 +176,7 @@ def parse_dimacs(text: str | bytes) -> Formula:
     return Formula._make(num_vars, tuple(clauses))
 
 
-def _parse_canonical(text: str) -> tuple[int, tuple[Clause, ...]] | None:
+def _parse_canonical(text: str) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
     """(num_vars, clauses) of text in write_dimacs's layout with one clause
     width, converted in bulk; None for any other text, which the line loop
     of parse_dimacs then parses or rejects, with the same result."""
@@ -213,7 +206,7 @@ def _parse_canonical(text: str) -> tuple[int, tuple[Clause, ...]] | None:
     if max(codes) > num_vars or min(codes) < -num_vars:
         return None
     columns = (codes[j :: k + 1] for j in range(k))
-    clauses = tuple(map(tuple.__new__, repeat(Clause), zip(*columns)))
+    clauses = tuple(zip(*columns))
     if sum(map(len, map(set, clauses))) != lines * k:  # a repeated literal
         return None
     return num_vars, clauses
@@ -289,4 +282,5 @@ def random_kcnf(
             if coin() < 0.5:
                 chosen[i] = -chosen[i]
         clauses.append(clause_of(*chosen))
-    return Formula(num_vars, tuple(clauses))
+    # clause_of checked each clause, and every variable drawn is in range.
+    return Formula._make(num_vars, tuple(clauses))

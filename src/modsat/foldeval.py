@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .cnf import Clause, Formula, require_assignment, require_uniform
+from .cnf import Formula, require_assignment, require_uniform
 from .mvlogic import clause_join_table
 
 
@@ -35,7 +35,7 @@ class FoldResult:
     ops: OpCount
 
 
-def clause_sum(clause: Clause, assignment: Sequence[bool]) -> int:
+def clause_sum(clause: tuple[int, ...], assignment: Sequence[bool]) -> int:
     """Sum of the clause's literal truth codes in the zero-is-true encoding.
 
     A positive literal contributes the truth code of its variable, a negated

@@ -85,7 +85,9 @@ class DiffRecord:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _RECORD_FIELDS}
+        # With no __slots__ and nothing cached, the instance dict holds
+        # exactly the fields, in field order.  A copy: never the live dict.
+        return vars(self).copy()
 
 
 _RECORD_FIELDS = tuple(f.name for f in fields(DiffRecord))

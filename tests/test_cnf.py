@@ -1,6 +1,8 @@
 """Formula model, DIMACS round trip, reference semantics, generation."""
 
+import collections
 import copy
+import gc
 import itertools
 import pickle
 import random
@@ -12,7 +14,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from modsat import cnf
 from modsat.cnf import (
-    Clause,
     Formula,
     _parse_canonical,
     clause_of,
@@ -78,17 +79,56 @@ def test_clause_of_checks_type_then_empty_then_zero_then_duplicate(codes, messag
         clause_of(*codes)
 
 
-def test_clause_is_built_only_by_clause_of():
-    with pytest.raises(TypeError, match="clause_of"):
-        Clause((1, 2))
-    clause = clause_of(1, -2)
-    rebuilt = [
-        pickle.loads(pickle.dumps(clause, protocol))
-        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
-    ]
-    for other in rebuilt + [copy.copy(clause), copy.deepcopy(clause)]:
-        assert type(other) is Clause
-        assert other == clause
+@pytest.mark.parametrize(
+    "clause, error, message",
+    [
+        ([1, 2], TypeError, "tuple of clauses built with clause_of"),
+        (
+            collections.namedtuple("Pair", "a b")(1, 2),
+            TypeError,
+            "tuple of clauses built with clause_of",
+        ),
+        ((), ValueError, "empty clause"),
+        ((1, 0), ValueError, "0 inside clause body"),
+        ((1, -2, 1), ValueError, "duplicate literal"),
+        ((1, True), ValueError, "literals must be integers"),
+        ((2.0,), ValueError, "literals must be integers"),
+    ],
+)
+def test_formula_refuses_unchecked_clauses(clause, error, message):
+    # A clause is a plain tuple, so Formula applies clause_of's rules itself.
+    with pytest.raises(error, match=message):
+        Formula(2, (clause_of(1), clause))
+
+
+def _five_ways():
+    canonical = write_dimacs(random_kcnf(20, 85, 3, 7))
+    assert _parse_canonical(canonical) is not None
+    line_loop = "c a comment\np cnf 3  2\n 1 -2 0\n2   3 0\n"
+    assert _parse_canonical(line_loop) is None
+    return {
+        "bulk parse": parse_dimacs(canonical),
+        "line-loop parse": parse_dimacs(line_loop),
+        "random_kcnf": random_kcnf(20, 85, 3, 8),
+        "constructor": Formula(3, (clause_of(1, -2), clause_of(2, 3))),
+        "pickle": pickle.loads(pickle.dumps(parse_dimacs(canonical))),
+    }
+
+
+def test_the_collector_untracks_every_clause():
+    # A clause is an exact tuple of ints, which the cyclic collector stops
+    # tracking at its first collection; a tuple subclass would stay tracked.
+    # The tuple of clauses goes at the next one: the collector reaches a
+    # container before what it holds, and untracks a tuple only after its
+    # items.
+    formulas = _five_ways()
+    gc.collect()
+    gc.collect()
+    for way, f in formulas.items():
+        assert f.clauses, way
+        tracked = [c for c in f.clauses if gc.is_tracked(c)]
+        assert tracked == [], way
+        assert not gc.is_tracked(f.clauses), way
 
 
 def test_formula_validation():
@@ -281,7 +321,7 @@ def test_formulas_survive_pickle_and_copy():
     assert pickle.dumps(f) == fresh  # the cached width stays out
     for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
         assert g == f
-        assert all(isinstance(c, Clause) for c in g.clauses)
+        assert all(type(c) is tuple for c in g.clauses)
 
 
 def test_write_canonical():

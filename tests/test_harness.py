@@ -329,6 +329,27 @@ def test_record_fields_are_flat():
         assert kinds <= allowed, f"DiffRecord.{name} is {hints[name]}"
 
 
+def test_record_dicts_hold_the_fields_in_order(monkeypatch):
+    # DiffRecord.to_dict copies the instance dict, which holds exactly the
+    # fields in field order only while the class has no __slots__.
+    assert not hasattr(DiffRecord, "__slots__")
+    records = list(diff_run(small_corpus()).records)
+    infeasible = simplex.LpSolution(simplex.INFEASIBLE, None, None, 2, Fraction(1))
+    monkeypatch.setattr(simplex, "solve", lambda system: infeasible)
+    corpus = small_corpus()[1::-1]
+    records += diff_run(corpus).records + diff_run(corpus[:1], oracle_budget=0).records
+
+    def boom(formula, config):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(pipeline, "run", boom)
+    records += diff_run(corpus[:1]).records
+    assert {r.category for r in records} == {*CATEGORIES, ERROR_CATEGORY}
+    for r in records:
+        assert list(vars(r)) == list(harness._RECORD_FIELDS), r.category
+        assert r.to_dict() == vars(r) and r.to_dict() is not vars(r)
+
+
 def test_fit_exponent_recovers_powers():
     xs = [10, 20, 40, 80]
     assert abs(fit_exponent(xs, [x**2 for x in xs]) - 2.0) < 1e-12

@@ -55,18 +55,17 @@ class _UncheckedConstructions(_ScopedVisitor):
 
 
 def test_only_checked_producers_skip_the_constructor_checks():
-    # Formula._make, LpSystem._make and tuple.__new__ on a Clause or a
-    # LinearConstraint skip every check: each caller checks its data itself,
-    # and no other code reads them.
+    # Formula._make, LpSystem._make and tuple.__new__ on a LinearConstraint
+    # skip every check: each caller checks its data itself, and no other
+    # code reads them.
     found = set()
     for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
         visitor = _UncheckedConstructions(path)
         visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
         found |= visitor.found
     assert found == {
-        ("cnf.py", "clause_of", "tuple.__new__"),
-        ("cnf.py", "_parse_canonical", "tuple.__new__"),
         ("cnf.py", "parse_dimacs", "Formula._make"),
+        ("cnf.py", "random_kcnf", "Formula._make"),
         ("relax.py", "build_relaxation", "tuple.__new__"),
         ("relax.py", "build_relaxation", "LpSystem._make"),
     }
