@@ -101,33 +101,28 @@ def test_formula_refuses_unchecked_clauses(clause, error, message):
         Formula(2, (clause_of(1), clause))
 
 
-def _five_ways():
-    canonical = write_dimacs(random_kcnf(20, 85, 3, 7))
-    assert _parse_canonical(canonical) is not None
-    line_loop = "c a comment\np cnf 3  2\n 1 -2 0\n2   3 0\n"
-    assert _parse_canonical(line_loop) is None
-    return {
-        "bulk parse": parse_dimacs(canonical),
-        "line-loop parse": parse_dimacs(line_loop),
-        "random_kcnf": random_kcnf(20, 85, 3, 8),
-        "constructor": Formula(3, (clause_of(1, -2), clause_of(2, 3))),
-        "pickle": pickle.loads(pickle.dumps(parse_dimacs(canonical))),
-    }
-
-
 def test_the_collector_untracks_every_clause():
     # A clause is an exact tuple of ints, which the cyclic collector stops
     # tracking at its first collection; a tuple subclass would stay tracked.
     # The tuple of clauses goes at the next one: the collector reaches a
     # container before what it holds, and untracks a tuple only after its
     # items.
-    formulas = _five_ways()
+    canonical = write_dimacs(random_kcnf(20, 85, 3, 7))
+    assert _parse_canonical(canonical) is not None
+    line_loop = "c a comment\np cnf 3  2\n 1 -2 0\n2   3 0\n"
+    assert _parse_canonical(line_loop) is None
+    formulas = {
+        "bulk parse": parse_dimacs(canonical),
+        "line-loop parse": parse_dimacs(line_loop),
+        "random_kcnf": random_kcnf(20, 85, 3, 8),
+        "constructor": Formula(3, (clause_of(1, -2), clause_of(2, 3))),
+        "pickle": pickle.loads(pickle.dumps(parse_dimacs(canonical))),
+    }
     gc.collect()
     gc.collect()
     for way, f in formulas.items():
         assert f.clauses, way
-        tracked = [c for c in f.clauses if gc.is_tracked(c)]
-        assert tracked == [], way
+        assert not any(map(gc.is_tracked, f.clauses)), way
         assert not gc.is_tracked(f.clauses), way
 
 
